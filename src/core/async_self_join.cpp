@@ -109,7 +109,9 @@ SelfJoinResult AsyncGpuSelfJoin::run(const Dataset& d, double eps) const {
   // device memory is accounted for.
   CellAdjacency adjacency;
   if (opt_.layout == GridLayout::kCellMajor) {
+    Timer adjacency_timer;
     adjacency = build_cell_adjacency(arena, grid, opt_.unicomp);
+    st.adjacency_seconds = adjacency_timer.seconds();
   }
 
   estimate_done.wait();

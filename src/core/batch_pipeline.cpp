@@ -561,11 +561,13 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
 
   // Flush every segment whose turn has come (callers hold `mu`). The
   // callback runs serially under the lock — sink consumers see ordered,
-  // non-overlapping calls.
+  // non-overlapping calls. A control tripped by an earlier flush (or from
+  // inside the sink itself) stops the stream before the next one.
   auto flush_ready = [this, &req, &segments, &pending, &sink_flushed,
-                      &last_flushed_key] {
+                      &last_flushed_key, ctl] {
     while (!segments.empty() && !pending.empty() &&
            segments.begin()->first == *pending.begin()) {
+      if (ctl != nullptr) ctl->check("sink flush");
       const std::uint32_t key = segments.begin()->first;
       if (contracts::active()) {
         // The watermark must release batches in strictly increasing
@@ -955,6 +957,8 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
     if (stats != nullptr) *stats = acc;
     return output;
   }
+
+  if (ctl != nullptr) ctl->check("final assembly");
 
   // Deterministic final assembly: segments in ascending first-key order,
   // each internally sorted by the device sort. Final offsets are only

@@ -132,6 +132,7 @@ api::JoinOutcome make_gpu_outcome(SelfJoinResult r) {
       {"index_build_seconds", s.index_build_seconds},
       {"upload_seconds", s.upload_seconds},
       {"estimate_seconds", s.estimate_seconds},
+      {"adjacency_seconds", s.adjacency_seconds},
       {"join_seconds", s.join_seconds},
       {"estimated_total", static_cast<double>(s.estimated_total)},
       {"batches_run", static_cast<double>(s.batch.batches_run)},

@@ -1,6 +1,7 @@
 #include "core/kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -124,9 +125,11 @@ inline void filter_adjacent(const GridDeviceView& g, const std::uint32_t* c,
   }
 }
 
-/// The neighbourhood enumeration shared by the point-centric and the
-/// cell-centric kernels: visit(cc, both_orders) is called for every
-/// candidate cell of a home cell at coordinates `c`.
+/// The point-centric kernel's neighbourhood enumeration (Algorithms 1
+/// and 2 as written; the cell-range builders use the run-scan of
+/// collect_ranges_at, which visits the same cells in the same order):
+/// visit(cc, both_orders) is called for every candidate cell of a home
+/// cell at coordinates `c`.
 ///
 /// Full mode (Algorithm 1): the cartesian product of the mask-filtered
 /// adjacent coordinates in every dimension, own cell included, all with
@@ -252,50 +255,181 @@ inline void eval_cell(const SelfJoinKernelParams& p, LocalWork& w,
   }
 }
 
-/// Per-thread scratch for the cell-centric kernel's inline-enumeration
-/// mode, reused across work items so the range list never reallocates on
-/// the hot path.
-thread_local std::vector<CandidateRange> t_ranges;
+/// Powers of three: kPow3[j] cursor slots cover the offsets of j outer
+/// dimensions.
+constexpr std::array<std::size_t, kMaxDims + 1> kPow3 = [] {
+  std::array<std::size_t, kMaxDims + 1> p{};
+  p[0] = 1;
+  for (int j = 1; j <= kMaxDims; ++j) p[j] = p[j - 1] * 3;
+  return p;
+}();
 
-/// Build the candidate slot-range list of the cell at coordinates `c` —
-/// mask-filtering the adjacency, enumerating the neighbourhood (full or
-/// UNICOMP) and binary-searching B ONCE PER CELL instead of once per
-/// point. Contiguous ranges with the same orientation are merged:
-/// adjacent non-empty cells occupy adjacent slot ranges in the cell-major
-/// layout, so the 3^n candidate cells frequently collapse into a few long
-/// scans. `c` need not name a non-empty cell itself (a join query group's
-/// home cell may hold no data points).
+/// The B positions the run-scan enumerator seeks from: one cursor per
+/// offset of dimensions 1..dim-1 from the home cell (3^(dim-1) of them),
+/// plus one for the home cell itself. Any position in [0, b_size] is a
+/// correct cursor; it only decides how far a seek has to look. Walking
+/// home cells in ascending B order moves every cursor forward only.
+struct RunCursors {
+  std::uint32_t pos[kPow3[kMaxDims - 1] + 1];
+
+  explicit RunCursors(int dim) { reset(dim); }
+  void reset(int dim) {
+    std::fill_n(pos, kPow3[static_cast<std::size_t>(std::max(dim, 1) - 1)] + 1,
+                0u);
+  }
+};
+
+/// First position i with B[i] >= id (nb when there is none). Gallops
+/// forward from `cursor`; when the cursor already lies past the answer,
+/// falls back to a binary search of [0, cursor), so any cursor gives the
+/// right answer. With home cells taken in ascending id order no run
+/// starts behind its cursor, so the fallback only guards callers that
+/// visit cells in another order.
+inline std::uint64_t seek_cell(const std::uint64_t* B, std::uint64_t nb,
+                               std::uint64_t cursor, std::uint64_t id) {
+  if (cursor > 0 && B[cursor - 1] >= id) {
+    return static_cast<std::uint64_t>(std::lower_bound(B, B + cursor, id) -
+                                      B);
+  }
+  // Everything before `base` is below `id`.
+  std::uint64_t base = cursor;
+  std::uint64_t step = 1;
+  while (base + step <= nb && B[base + step - 1] < id) {
+    base += step;
+    step *= 2;
+  }
+  const std::uint64_t hi = std::min(base + step, nb);
+  return static_cast<std::uint64_t>(
+      std::lower_bound(B + base, B + hi, id) - B);
+}
+
+/// Build the candidate slot-range list of the cell at coordinates `c`:
+/// mask-filter the adjacency, then visit the candidate cells of the full
+/// or UNICOMP neighbourhood in exactly enumerate_neighborhood's order,
+/// ONCE PER CELL instead of once per point. Because stride[0] == 1, the
+/// candidates that differ only in dimension 0 (c0-1, c0, c0+1 at fixed
+/// outer coordinates) have consecutive ids, so each such run is read as
+/// one id interval of B: a galloping seek from the cursor of its outer
+/// offset, then a forward walk over the entries it holds. Every entry in
+/// the interval is a candidate — its dimension-0 coordinate is in M_0 —
+/// so the odometer only turns over dimensions 1..dim-1. Work counters
+/// stay per candidate cell (cells_examined counts each filtered
+/// dimension-0 value). Contiguous ranges with the same orientation are
+/// merged: adjacent non-empty cells occupy adjacent slot ranges in the
+/// cell-major layout, so the 3^n candidate cells frequently collapse into
+/// a few long scans. `c` need not name a non-empty cell itself (a join
+/// query group's home cell may hold no data points).
 void collect_ranges_at(const GridDeviceView& g, const std::uint32_t* c,
-                       bool unicomp, LocalWork& w,
+                       bool unicomp, RunCursors& cur, LocalWork& w,
                        std::vector<CandidateRange>& out) {
+  SJ_EXPECT(g.stride[0] == 1, "run-scan needs unit stride in dimension 0");
   const std::size_t first = out.size();
   std::uint32_t adj[kMaxDims][3];
   int adjn[kMaxDims];
   filter_adjacent(g, c, adj, adjn);
-  enumerate_neighborhood(
-      g.dim, c, adj, adjn, unicomp,
-      [&](const std::uint32_t* cc, bool both) {
-        ++w.cells_examined;
-        const std::uint64_t id = g.linearize(cc);
-        const std::uint64_t* bend = g.B + g.b_size;
-        const std::uint64_t* it = std::lower_bound(g.B, bend, id);
-        if (it == bend || *it != id) return;
-        ++w.cells_nonempty;
-        const GridIndex::CellRange r = g.G[it - g.B];
-        const std::uint32_t flag = both ? 1 : 0;
-        if (out.size() > first && out.back().end == r.min &&
-            out.back().both == flag) {
-          out.back().end = r.max + 1;
-        } else {
-          out.push_back({r.min, r.max + 1, flag});
-        }
-      });
+  const int dim = g.dim;
+  const std::uint64_t* B = g.B;
+  const std::uint64_t nb = g.b_size;
+  constexpr std::uint64_t kNoSkip = std::numeric_limits<std::uint64_t>::max();
+
+  // Append the B entries with ids in [lo, hi], except `skip`.
+  auto scan_run = [&](std::size_t slot, std::uint64_t lo, std::uint64_t hi,
+                      std::uint64_t skip, std::uint32_t both) {
+    std::uint64_t i = seek_cell(B, nb, cur.pos[slot], lo);
+    cur.pos[slot] = static_cast<std::uint32_t>(i);
+    for (; i < nb && B[i] <= hi; ++i) {
+      if (B[i] == skip) continue;
+      ++w.cells_nonempty;
+      const GridIndex::CellRange r = g.G[i];
+      if (out.size() > first && out.back().end == r.min &&
+          out.back().both == both) {
+        out.back().end = r.max + 1;
+      } else {
+        out.push_back({r.min, r.max + 1, both});
+      }
+    }
+  };
+
+  // Odometer over dimensions 1..top: those below `top` range over their
+  // filtered coordinates, `top` over top_vals, those above stay pinned to
+  // home. Each position is one full dimension-0 run.
+  auto sweep = [&](int top, const std::uint32_t* top_vals, int top_n,
+                   std::uint32_t both) {
+    std::uint64_t pinned = 0;
+    std::size_t pinned_slot = 0;
+    for (int j = top + 1; j < dim; ++j) {
+      pinned += static_cast<std::uint64_t>(c[j]) * g.stride[j];
+      pinned_slot += kPow3[static_cast<std::size_t>(j - 1)];
+    }
+    int idx[kMaxDims] = {};
+    for (;;) {
+      std::uint64_t base = pinned;
+      std::size_t slot = pinned_slot;
+      for (int j = 1; j <= top; ++j) {
+        const std::uint32_t v = j == top ? top_vals[idx[j]] : adj[j][idx[j]];
+        base += static_cast<std::uint64_t>(v) * g.stride[j];
+        slot += static_cast<std::size_t>(v + 1 - c[j]) *
+                kPow3[static_cast<std::size_t>(j - 1)];
+      }
+      w.cells_examined += static_cast<std::uint64_t>(adjn[0]);
+      scan_run(slot, base + adj[0][0], base + adj[0][adjn[0] - 1], kNoSkip,
+               both);
+      int j = 1;
+      while (j <= top) {
+        if (++idx[j] < (j == top ? top_n : adjn[j])) break;
+        idx[j] = 0;
+        ++j;
+      }
+      if (j > top) break;
+    }
+  };
+
+  if (!unicomp) {
+    for (int j = 0; j < dim; ++j) {
+      if (adjn[j] == 0) return;  // cannot happen for in-dataset queries
+    }
+    sweep(dim - 1, adj[dim - 1], adjn[dim - 1], 0);
+    return;
+  }
+
+  // Home cell, one direction only; it keeps a cursor of its own so the
+  // dimension-0 run below, which may start one cell lower, does not pull
+  // a shared cursor backwards.
+  const std::uint64_t home = g.linearize(c);
+  ++w.cells_examined;
+  scan_run(kPow3[static_cast<std::size_t>(dim - 1)], home, home, kNoSkip, 0);
+
+  for (int d = 0; d < dim; ++d) {
+    if ((c[d] & 1u) == 0) continue;  // even coordinate: skip (Algorithm 2)
+    std::uint32_t moved[3];  // filtered coordinates of d other than home
+    int moved_n = 0;
+    for (int k = 0; k < adjn[d]; ++k) {
+      if (adj[d][k] != c[d]) moved[moved_n++] = adj[d][k];
+    }
+    if (moved_n == 0) continue;  // no non-empty differing neighbour
+    bool lower_dims_ok = true;
+    for (int j = 0; j < d; ++j) {
+      if (adjn[j] == 0) lower_dims_ok = false;
+    }
+    if (!lower_dims_ok) continue;
+
+    if (d > 0) {
+      sweep(d, moved, moved_n, 1);
+      continue;
+    }
+    // d == 0: one run at the home offset, stepping over home itself.
+    std::size_t slot = 0;
+    for (int j = 1; j < dim; ++j) slot += kPow3[static_cast<std::size_t>(j - 1)];
+    const std::uint64_t outer = home - c[0];
+    w.cells_examined += static_cast<std::uint64_t>(moved_n);
+    scan_run(slot, outer + moved[0], outer + moved[moved_n - 1], home, 1);
+  }
 }
 
 /// collect_ranges_at() for a non-empty cell identified by its index into
 /// B (the self-join's work unit), decoding the coordinates first.
 void collect_cell_ranges(const GridDeviceView& g, std::uint32_t cell_idx,
-                         bool unicomp, LocalWork& w,
+                         bool unicomp, RunCursors& cur, LocalWork& w,
                          std::vector<CandidateRange>& out) {
   std::uint32_t c[kMaxDims];
   const std::uint64_t lin = g.B[cell_idx];
@@ -303,8 +437,14 @@ void collect_cell_ranges(const GridDeviceView& g, std::uint32_t cell_idx,
     c[j] =
         static_cast<std::uint32_t>((lin / g.stride[j]) % g.cells_per_dim[j]);
   }
-  collect_ranges_at(g, c, unicomp, w, out);
+  collect_ranges_at(g, c, unicomp, cur, w, out);
 }
+
+/// Per-thread scratch for the cell-centric kernel's inline-enumeration
+/// mode, reused across work items so neither the range list nor the
+/// cursor block is reallocated on the hot path.
+thread_local std::vector<CandidateRange> t_ranges;
+thread_local RunCursors t_cursors(1);
 
 /// SoA block width: wide enough that a full AVX2/AVX-512 register set
 /// covers the lane loop, small enough that a block of partial sums stays
@@ -530,7 +670,8 @@ void self_join_cells_thread(const gpu::ThreadCtx& ctx,
                                           p.range_offsets[item.cell]);
   } else {
     t_ranges.clear();
-    collect_cell_ranges(g, item.cell, p.unicomp, w, t_ranges);
+    t_cursors.reset(g.dim);
+    collect_cell_ranges(g, item.cell, p.unicomp, t_cursors, w, t_ranges);
     ranges = t_ranges.data();
     num_ranges = t_ranges.size();
   }
@@ -553,32 +694,34 @@ void self_join_cells_thread(const gpu::ThreadCtx& ctx,
   if (p.work != nullptr) p.work->flush(w);
 }
 
-CellAdjacencyHost build_cell_adjacency_host(const GridDeviceView& grid,
-                                            bool unicomp) {
-  return build_cell_adjacency_span(grid, unicomp, 0,
-                                   static_cast<std::uint32_t>(grid.b_size));
-}
+namespace {
 
-CellAdjacencyHost build_cell_adjacency_span(const GridDeviceView& grid,
-                                            bool unicomp,
-                                            std::uint32_t cell_begin,
-                                            std::uint32_t cell_end) {
+/// The spans a whole-grid adjacency build is cut into. Fixed rather than
+/// derived from the thread count: the CSR is the same for any split, and
+/// the split itself then never depends on the machine.
+constexpr std::size_t kAdjacencySpans = 64;
+
+/// build_cell_adjacency_span without the validator: the body every
+/// builder runs once per span.
+CellAdjacencyHost build_span(const GridDeviceView& grid, bool unicomp,
+                             std::uint32_t cell_begin,
+                             std::uint32_t cell_end) {
   CellAdjacencyHost adj;
   const std::size_t num_cells = cell_end - cell_begin;
   adj.weights.assign(num_cells, 0);
   adj.offsets.assign(num_cells + 1, 0);
   if (num_cells == 0) return adj;
 
-  // One enumeration pass over the cells, accumulated on the host as a
-  // CSR-style (offsets, ranges) pair. The pass is the same work one
-  // point-centric query performs per POINT, so it amortises to a small
-  // fraction of the legacy kernel's search overhead.
+  // One run-scan pass over the span's cells, in ascending B order so
+  // every cursor only moves forward, accumulated as a CSR-style
+  // (offsets, ranges) pair.
   adj.ranges.reserve(num_cells * 4);
+  RunCursors cursors(grid.dim);
   LocalWork w;  // planning work, not flushed into join counters
   for (std::size_t cell = 0; cell < num_cells; ++cell) {
     collect_cell_ranges(grid,
                         static_cast<std::uint32_t>(cell_begin + cell),
-                        unicomp, w, adj.ranges);
+                        unicomp, cursors, w, adj.ranges);
     adj.offsets[cell + 1] = adj.ranges.size();
     std::uint64_t candidates = 0;
     for (std::size_t r = adj.offsets[cell]; r < adj.offsets[cell + 1]; ++r) {
@@ -598,8 +741,70 @@ CellAdjacencyHost build_cell_adjacency_span(const GridDeviceView& grid,
   }
   adj.cells_examined = w.cells_examined;
   adj.cells_nonempty = w.cells_nonempty;
+  return adj;
+}
+
+/// The whole grid's adjacency as `spans` contiguous cell spans (fewer
+/// when there are fewer cells), built in parallel; span s covers cells
+/// [b_size * s / spans, b_size * (s + 1) / spans).
+std::vector<CellAdjacencyHost> build_spans(const GridDeviceView& grid,
+                                           bool unicomp, std::size_t spans) {
+  const std::uint64_t cells = grid.b_size;
+  const std::uint64_t parts_n =
+      std::min<std::uint64_t>(std::max<std::size_t>(spans, 1), cells);
+  std::vector<CellAdjacencyHost> parts(static_cast<std::size_t>(parts_n));
+#pragma omp parallel for schedule(dynamic, 1)
+  for (std::int64_t s = 0; s < static_cast<std::int64_t>(parts_n); ++s) {
+    const auto u = static_cast<std::uint64_t>(s);
+    parts[static_cast<std::size_t>(s)] = build_span(
+        grid, unicomp, static_cast<std::uint32_t>(cells * u / parts_n),
+        static_cast<std::uint32_t>(cells * (u + 1) / parts_n));
+  }
+  return parts;
+}
+
+}  // namespace
+
+CellAdjacencyHost build_cell_adjacency_host(const GridDeviceView& grid,
+                                            bool unicomp) {
+  return build_cell_adjacency_host(grid, unicomp, kAdjacencySpans);
+}
+
+CellAdjacencyHost build_cell_adjacency_host(const GridDeviceView& grid,
+                                            bool unicomp, std::size_t spans) {
+  std::vector<CellAdjacencyHost> parts = build_spans(grid, unicomp, spans);
+  CellAdjacencyHost adj;
+  std::size_t total = 0;
+  for (const CellAdjacencyHost& p : parts) total += p.ranges.size();
+  adj.ranges.reserve(total);
+  adj.offsets.reserve(static_cast<std::size_t>(grid.b_size) + 1);
+  adj.weights.reserve(static_cast<std::size_t>(grid.b_size));
+  adj.offsets.push_back(0);
+  for (CellAdjacencyHost& p : parts) {
+    const std::uint64_t base = adj.ranges.size();
+    adj.ranges.insert(adj.ranges.end(), p.ranges.begin(), p.ranges.end());
+    for (std::size_t k = 1; k < p.offsets.size(); ++k) {
+      adj.offsets.push_back(base + p.offsets[k]);
+    }
+    adj.weights.insert(adj.weights.end(), p.weights.begin(), p.weights.end());
+    adj.cells_examined += p.cells_examined;
+    adj.cells_nonempty += p.cells_nonempty;
+    p = CellAdjacencyHost{};
+  }
   if (contracts::active()) {
-    validate::cell_adjacency(adj, num_cells, grid.n,
+    validate::cell_adjacency(adj, static_cast<std::size_t>(grid.b_size),
+                             grid.n, "build_cell_adjacency_host");
+  }
+  return adj;
+}
+
+CellAdjacencyHost build_cell_adjacency_span(const GridDeviceView& grid,
+                                            bool unicomp,
+                                            std::uint32_t cell_begin,
+                                            std::uint32_t cell_end) {
+  CellAdjacencyHost adj = build_span(grid, unicomp, cell_begin, cell_end);
+  if (contracts::active()) {
+    validate::cell_adjacency(adj, cell_end - cell_begin, grid.n,
                              "build_cell_adjacency_span");
   }
   return adj;
@@ -607,15 +812,35 @@ CellAdjacencyHost build_cell_adjacency_span(const GridDeviceView& grid,
 
 CellAdjacency build_cell_adjacency(gpu::GlobalMemoryArena& arena,
                                    const GridDeviceView& grid, bool unicomp) {
-  CellAdjacencyHost host = build_cell_adjacency_host(grid, unicomp);
+  std::vector<CellAdjacencyHost> parts =
+      build_spans(grid, unicomp, kAdjacencySpans);
+  std::size_t total = 0;
+  for (const CellAdjacencyHost& p : parts) total += p.ranges.size();
   CellAdjacency adj;
-  adj.ranges = gpu::DeviceBuffer<CandidateRange>(arena, host.ranges.size());
-  std::copy(host.ranges.begin(), host.ranges.end(), adj.ranges.data());
-  adj.offsets = gpu::DeviceBuffer<std::uint64_t>(arena, host.offsets.size());
-  std::copy(host.offsets.begin(), host.offsets.end(), adj.offsets.data());
-  adj.weights = std::move(host.weights);
-  adj.cells_examined = host.cells_examined;
-  adj.cells_nonempty = host.cells_nonempty;
+  adj.ranges = gpu::DeviceBuffer<CandidateRange>(arena, total);
+  adj.offsets = gpu::DeviceBuffer<std::uint64_t>(
+      arena, static_cast<std::size_t>(grid.b_size) + 1);
+  adj.weights.reserve(static_cast<std::size_t>(grid.b_size));
+  adj.offsets[0] = 0;
+  std::size_t base = 0;
+  std::size_t cell = 0;
+  // Each span goes straight into the device buffers and is released once
+  // copied; no concatenated host CSR is built.
+  for (CellAdjacencyHost& p : parts) {
+    const std::size_t num_cells = p.weights.size();
+    if (contracts::active()) {
+      validate::cell_adjacency(p, num_cells, grid.n, "build_cell_adjacency");
+    }
+    std::copy(p.ranges.begin(), p.ranges.end(), adj.ranges.data() + base);
+    for (std::size_t k = 1; k <= num_cells; ++k) {
+      adj.offsets[++cell] = base + p.offsets[k];
+    }
+    base += p.ranges.size();
+    adj.weights.insert(adj.weights.end(), p.weights.begin(), p.weights.end());
+    adj.cells_examined += p.cells_examined;
+    adj.cells_nonempty += p.cells_nonempty;
+    p = CellAdjacencyHost{};
+  }
   return adj;
 }
 
@@ -685,6 +910,7 @@ JoinAdjacencyHost build_join_adjacency_host(const GridDeviceView& grid) {
   // enumeration.
   adj.offsets.push_back(0);
   adj.group_offsets.push_back(0);
+  RunCursors cursors(grid.dim);
   LocalWork w;
   std::size_t pos = 0;
   while (pos < keyed.size()) {
@@ -693,7 +919,7 @@ JoinAdjacencyHost build_join_adjacency_host(const GridDeviceView& grid) {
     while (end < keyed.size() && keyed[end].first == key) ++end;
 
     grid.home_cell(grid.query_point(adj.query_order[pos]), c);
-    collect_ranges_at(grid, c, /*unicomp=*/false, w, adj.ranges);
+    collect_ranges_at(grid, c, /*unicomp=*/false, cursors, w, adj.ranges);
     adj.offsets.push_back(adj.ranges.size());
     adj.group_offsets.push_back(static_cast<std::uint32_t>(end));
 

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -122,24 +123,34 @@ struct CellAdjacencyHost {
 };
 
 /// Build the adjacency of every non-empty cell of a cell-major grid on
-/// the host with one enumeration pass (odometer or UNICOMP pattern +
-/// find_cell each).
+/// the host. Each cell is one run-scan pass: the mask-filtered full or
+/// UNICOMP neighbourhood, with the candidates that differ only in
+/// dimension 0 (consecutive cell ids, as stride[0] == 1) read as one id
+/// interval of B from a forward-moving per-offset cursor. The grid is cut
+/// into a fixed number of contiguous cell spans (64; `spans` overrides it
+/// for tests) built in parallel and concatenated in span order, so the
+/// CSR, the weights and the counters are the same for any span or thread
+/// count.
 CellAdjacencyHost build_cell_adjacency_host(const GridDeviceView& grid,
                                             bool unicomp);
+CellAdjacencyHost build_cell_adjacency_host(const GridDeviceView& grid,
+                                            bool unicomp, std::size_t spans);
 
-/// build_cell_adjacency_host restricted to cells [cell_begin, cell_end):
-/// offsets/weights are indexed relative to cell_begin (offsets[0] == 0);
-/// candidate ranges stay in GLOBAL slot coordinates. This is the
-/// per-device form: each gpu_shard device resolves only its own cells'
-/// adjacency, so the build parallelises across shards instead of sitting
-/// in the unsharded common phase.
+/// One span of build_cell_adjacency_host, built serially: cells
+/// [cell_begin, cell_end), with offsets/weights indexed relative to
+/// cell_begin (offsets[0] == 0) and candidate ranges in GLOBAL slot
+/// coordinates. This is also the per-device form: each gpu_shard device
+/// resolves only its own chunklets' adjacency, so the build parallelises
+/// across shards instead of sitting in the unsharded common phase.
 CellAdjacencyHost build_cell_adjacency_span(const GridDeviceView& grid,
                                             bool unicomp,
                                             std::uint32_t cell_begin,
                                             std::uint32_t cell_end);
 
-/// build_cell_adjacency_host() + upload into `arena` — the single-device
-/// form the gpu/gpu_unicomp/gpu_async engines consume.
+/// The single-device form the gpu/gpu_unicomp/gpu_async engines consume:
+/// the spans of build_cell_adjacency_host, each copied straight into the
+/// `arena`'s ranges/offsets buffers and released once copied; no
+/// concatenated host CSR is ever built.
 CellAdjacency build_cell_adjacency(gpu::GlobalMemoryArena& arena,
                                    const GridDeviceView& grid, bool unicomp);
 
@@ -207,7 +218,8 @@ struct JoinAdjacencyHost {
 
 /// Build the query-group adjacency for a query/data join on the host:
 /// `grid` must be a cell-major view of the indexed data with qpoints/qn
-/// describing the external query set.
+/// describing the external query set. Groups are resolved in ascending
+/// home-cell order with the same run-scan as build_cell_adjacency_host.
 JoinAdjacencyHost build_join_adjacency_host(const GridDeviceView& grid);
 
 /// build_join_adjacency_host() + upload into `arena` — the single-device

@@ -147,8 +147,10 @@ SelfJoinResult PreparedJoin::self_join(const GpuSelfJoinOptions& opt) const {
     std::lock_guard<std::mutex> lock(cache_mu_);
     SelfCache& cache = self_cache_[opt.unicomp ? 1 : 0];
     if (cache.adjacency == nullptr) {
+      Timer phase;
       cache.adjacency = std::make_unique<CellAdjacency>(
           build_cell_adjacency(arena_, grid, opt.unicomp));
+      st.adjacency_seconds = phase.seconds();
     }
     if (pairs_path && !cache.estimated) {
       Timer phase;

@@ -85,7 +85,9 @@ SelfJoinResult GpuSelfJoin::run(const Dataset& d, double eps) const {
   // Built before buffer sizing so its device memory is accounted for.
   CellAdjacency adjacency;
   if (opt_.layout == GridLayout::kCellMajor) {
+    phase.reset();
     adjacency = build_cell_adjacency(arena, grid, opt_.unicomp);
+    st.adjacency_seconds = phase.seconds();
   }
 
   // --- Size the per-stream buffers within the device's free memory.

@@ -86,6 +86,10 @@ struct SelfJoinStats {
   double index_build_seconds = 0.0;
   double upload_seconds = 0.0;
   double estimate_seconds = 0.0;
+  /// Cell-adjacency build (cell-major layout): the index search, resolved
+  /// once per cell. Summed over chunklets in the shard engine; zero on a
+  /// PreparedJoin call that reuses its cached adjacency.
+  double adjacency_seconds = 0.0;
   double join_seconds = 0.0;  // batched kernel + sort + transfer phase
 
   std::uint64_t estimated_total = 0;

@@ -405,6 +405,7 @@ struct ChunkOutput {
   std::uint64_t weight = 0;
   std::uint64_t owned_points = 0;
   std::uint64_t halo_points = 0;
+  double adjacency_seconds = 0.0;
   int slot = -1;  ///< device slot that ran it (stats attribution)
 };
 
@@ -727,8 +728,10 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
     gpu::GlobalMemoryArena& arena = *ctx.arena;
     const std::uint32_t c0 = cplan.bounds[c];
     const std::uint32_t c1 = cplan.bounds[c + 1];
+    Timer adjacency_timer;
     CellAdjacencyHost adj =
         build_cell_adjacency_span(hv, opt_.unicomp, c0, c1);
+    const double adjacency_seconds = adjacency_timer.seconds();
     const ShardSlice slice =
         make_shard_slice(adj.ranges, adj.offsets, adj.weights, 0, c1 - c0,
                          hv.G[c0].min, hv.G[c1 - 1].max + 1);
@@ -813,6 +816,7 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
     outs[c].weight = slice.weight;
     outs[c].owned_points = slice.owned_points();
     outs[c].halo_points = slice.halo_points();
+    outs[c].adjacency_seconds = adjacency_seconds;
     outs[c].slot = static_cast<int>(s);
   },
   // Failover reset: wind the chunklet's record back so the surviving
@@ -825,6 +829,7 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
   result.shard.shards_failed_over = failover.shards_failed_over;
   result.shard.recovery_seconds = failover.recovery_seconds;
   st.join_seconds = phase.seconds();
+  for (const ChunkOutput& o : outs) st.adjacency_seconds += o.adjacency_seconds;
 
   PipelineOutput merged = merge_chunklets(outs, works, st.metrics, st.batch);
   fold_device_rows(slots, outs, result.shard);

@@ -44,7 +44,12 @@ struct EgoState {
   }
 };
 
-/// Per-thread join accumulators, merged at the end.
+/// Levels of the join recursion expanded into independent parallel tasks
+/// (at most 3^6 tasks; pruning removes most). Fixed so the task list, and
+/// with it the output order, does not depend on the thread count.
+constexpr int kTaskDepth = 6;
+
+/// Per-task join accumulators, merged in task order at the end.
 struct JoinLocal {
   std::vector<Pair> pairs;
   std::uint64_t distance_calcs = 0;
@@ -301,22 +306,23 @@ EgoResult run(const Dataset& d, double eps, const Options& opt) {
   const int root = build_segment(st, 0, static_cast<std::uint32_t>(n));
   stats.sort_seconds = sort_timer.seconds();
 
-  // --- Parallel EGO-join.
+  // --- Parallel EGO-join. The task list comes from a fixed expansion
+  // depth and every task writes its own buffer; the buffers are joined
+  // in task order, so the output is the serial recursion's, byte for
+  // byte, at any thread count.
   Timer join_timer;
-  const int threads =
+  // Read only by the pragma, which a build without OpenMP ignores.
+  [[maybe_unused]] const int threads =
       opt.threads > 0 ? opt.threads : std::max(1, omp_get_max_threads());
   std::vector<std::pair<int, int>> tasks;
   std::uint64_t pruned_at_expand = 0;
-  int depth = 0;
-  while ((1 << depth) < threads * 8 && depth < 20) ++depth;
-  expand_tasks(st, root, root, depth, tasks, pruned_at_expand);
+  expand_tasks(st, root, root, kTaskDepth, tasks, pruned_at_expand);
 
-  std::vector<JoinLocal> locals(static_cast<std::size_t>(threads));
+  std::vector<JoinLocal> locals(tasks.size());
 #pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
   for (std::int64_t t = 0; t < static_cast<std::int64_t>(tasks.size()); ++t) {
-    JoinLocal& local = locals[static_cast<std::size_t>(omp_get_thread_num())];
-    ego_join(st, tasks[static_cast<std::size_t>(t)].first,
-             tasks[static_cast<std::size_t>(t)].second, local);
+    const auto i = static_cast<std::size_t>(t);
+    ego_join(st, tasks[i].first, tasks[i].second, locals[i]);
   }
 
   std::size_t total_pairs = 0;
@@ -325,6 +331,7 @@ EgoResult run(const Dataset& d, double eps, const Options& opt) {
   for (JoinLocal& l : locals) {
     auto& out = result.pairs.pairs();
     out.insert(out.end(), l.pairs.begin(), l.pairs.end());
+    std::vector<Pair>().swap(l.pairs);
     stats.distance_calcs += l.distance_calcs;
     stats.sequence_pairs_pruned += l.pruned;
     stats.simple_joins += l.simple_joins;

@@ -142,6 +142,24 @@ TEST(Ego, EpsZero) {
   EXPECT_EQ(r.pairs.size(), 5u);
 }
 
+TEST(Ego, OutputBytesDoNotDependOnThreadCount) {
+  // Unnormalised: the raw pair order itself must match, so the task split
+  // and the merge order are both thread-count independent.
+  const auto d = datagen::gaussian_mixture(3000, 3, 5, 3.0, 0.0, 60.0, 811);
+  Options one;
+  one.threads = 1;
+  Options four;
+  four.threads = 4;
+  const auto a = self_join(d, 2.5, one);
+  for (int run = 0; run < 3; ++run) {
+    const auto b = self_join(d, 2.5, four);
+    ASSERT_EQ(a.pairs.size(), b.pairs.size());
+    EXPECT_TRUE(a.pairs.pairs() == b.pairs.pairs()) << "run " << run;
+    EXPECT_EQ(a.stats.distance_calcs, b.stats.distance_calcs);
+    EXPECT_EQ(a.stats.sequence_pairs_pruned, b.stats.sequence_pairs_pruned);
+  }
+}
+
 TEST(Ego, RejectsNegativeEps) {
   EXPECT_THROW(self_join(Dataset(2), -1.0), std::invalid_argument);
 }
