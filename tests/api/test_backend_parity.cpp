@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <string>
 
 #include "api/registry.hpp"
@@ -134,6 +135,10 @@ struct LayoutCase {
   std::map<std::string, std::string> extra;  // on top of layout=
   std::string label;
 };
+
+// Without a printer gtest names each case by the raw bytes of the struct,
+// which hold heap addresses and so change from one process to the next.
+void PrintTo(const LayoutCase& c, std::ostream* os) { *os << c.label; }
 
 class LayoutParity : public ::testing::TestWithParam<LayoutCase> {
  protected:
