@@ -6,11 +6,10 @@
 // waits on its event, but in metrics mode the expensive serial Table II
 // pass runs concurrently with it), then executes the batches through the
 // BatchPipeline: a work queue feeding a pool of kernel streams whose
-// completed, device-sorted batches are staged by dedicated host-assembly
-// threads while further kernels run, with the final batch-key-ordered
-// concatenation parallelised across those same workers. Overflow splits
-// feed back into the same queue, so a skewed batch never stalls the
-// other streams behind a retry barrier.
+// completed, device-sorted batches are appended to the output in batch-
+// key order by dedicated host-assembly threads while further kernels run.
+// Overflow splits feed back into the same queue, so a skewed batch never
+// stalls the other streams behind a retry barrier.
 //
 // Exactness and output order are identical to GpuSelfJoin by
 // construction — both engines share the BatchPipeline and its

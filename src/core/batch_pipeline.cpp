@@ -544,46 +544,77 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
   std::map<std::uint32_t, SegmentPool::Buffer> segments;
   std::exception_ptr first_error;
 
-  // Sink-mode watermark: the batch keys not yet streamed (registered for
-  // every root up front, extended on splits BEFORE the halves run). A
-  // completed segment flushes once it owns the smallest outstanding key,
-  // so batches stream to the callback in exactly the order the kPairs
-  // concatenation would emit them — and the staged memory stays bounded
-  // by the pipeline's in-flight batch count instead of the result size.
+  // Watermark over the batch keys not yet emitted (registered for every
+  // root up front, extended on splits BEFORE the halves run). A completed
+  // segment is emitted once it owns the smallest outstanding key — sink
+  // mode hands it to the callback, pairs mode appends it to the output —
+  // so both modes emit batches in ascending first-key order, and a staged
+  // segment goes back to the pool as soon as its turn has come.
   std::multiset<std::uint32_t> pending;
-  if (sinking) {
+  if (materialise) {
     for (std::size_t b = 0; b < num_roots; ++b) {
       pending.insert(mode.root_first_key(b));
     }
   }
-  std::uint64_t sink_flushed = 0;
+  // The plan sized its batches from the padded result-size estimate, so
+  // its total buffer capacity is that estimate: reserved once, in-order
+  // appends do not regrow the output (an undershoot only means they do).
+  std::vector<Pair>& out = output.pairs.pairs();
+  if (req.mode == ResultMode::kPairs) {
+    out.reserve(static_cast<std::size_t>(num_roots * buffer_pairs));
+  }
+  std::uint64_t flushed = 0;
   std::int64_t last_flushed_key = -1;
+  bool flushing = false;  // one thread at a time emits segments
 
-  // Flush every segment whose turn has come (callers hold `mu`). The
-  // callback runs serially under the lock — sink consumers see ordered,
-  // non-overlapping calls. A control tripped by an earlier flush (or from
+  // Emit every segment whose turn has come (callers hold `lock` on mu).
+  // Only one thread emits at a time, in key order, so sink consumers see
+  // ordered, non-overlapping calls; the copy or callback itself runs with
+  // mu released, so kernel workers never wait on it for the stats lock. A
+  // segment that lands meanwhile is picked up by the emitting thread's
+  // next turn of the loop. A control tripped by an earlier flush (or from
   // inside the sink itself) stops the stream before the next one.
-  auto flush_ready = [this, &req, &segments, &pending, &sink_flushed,
-                      &last_flushed_key, ctl] {
+  auto flush_ready = [&](std::unique_lock<std::mutex>& lock) {
+    if (flushing) return;
+    flushing = true;
     while (!segments.empty() && !pending.empty() &&
            segments.begin()->first == *pending.begin()) {
-      if (ctl != nullptr) ctl->check("sink flush");
-      const std::uint32_t key = segments.begin()->first;
-      if (contracts::active()) {
-        // The watermark must release batches in strictly increasing
-        // first-key order — the order the kPairs concatenation defines.
-        SJ_CHECK(static_cast<std::int64_t>(key) > last_flushed_key,
-                 "BatchPipeline: sink flush keys must be strictly "
-                 "increasing");
+      SegmentPool::Buffer buf;
+      try {
+        if (ctl != nullptr) ctl->check("flush");
+        const std::uint32_t key = segments.begin()->first;
+        if (contracts::active()) {
+          // The watermark must release batches in strictly increasing
+          // first-key order — the order that defines the output bytes.
+          SJ_CHECK(static_cast<std::int64_t>(key) > last_flushed_key,
+                   "BatchPipeline: flush keys must be strictly increasing");
+        }
+        last_flushed_key = static_cast<std::int64_t>(key);
+        buf = std::move(segments.begin()->second);
+        segments.erase(segments.begin());
+        pending.erase(pending.begin());
+        lock.unlock();
+        Timer emit_timer;
+        if (buf.count > 0) {
+          if (sinking) {
+            req.sink(buf.data.get(), buf.count);
+          } else {
+            out.insert(out.end(), buf.data.get(), buf.data.get() + buf.count);
+          }
+        }
+        const double emit_s = emit_timer.seconds();
+        lock.lock();
+        flushed += buf.count;
+        acc.assembly_seconds += emit_s;
+        pool_.release(std::move(buf));
+      } catch (...) {
+        if (!lock.owns_lock()) lock.lock();
+        flushing = false;
+        pool_.release(std::move(buf));  // no-op unless taken from the map
+        throw;
       }
-      last_flushed_key = static_cast<std::int64_t>(key);
-      SegmentPool::Buffer buf = std::move(segments.begin()->second);
-      segments.erase(segments.begin());
-      pending.erase(pending.begin());
-      if (buf.count > 0) req.sink(buf.data.get(), buf.count);
-      sink_flushed += buf.count;
-      pool_.release(std::move(buf));
     }
+    flushing = false;
   };
 
   auto complete_one = [&outstanding, &tasks] {
@@ -691,7 +722,7 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
         {
           std::lock_guard<std::mutex> lock(mu);
           ++acc.batches_split_on_oom;
-          if (sinking) pending.insert(mode.first_key(hi));
+          pending.insert(mode.first_key(hi));
         }
         push_split(std::move(lo), std::move(hi));
       } else if (task.attempts < config_.retry.retries) {
@@ -706,9 +737,12 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
     }
   };
 
-  // --- Stage 3: host assembly. Completed segments are merged into the
-  // deterministic batch-key order while further kernels run; in sink mode
-  // each insert also advances the watermark.
+  // --- Stage 3: host assembly. Completed segments are keyed into the
+  // deterministic batch order while further kernels run, and each arrival
+  // advances the watermark: sink mode streams the segments whose turn has
+  // come to the callback, pairs mode appends them to the output, and
+  // their staging buffers return to the pool for the batches still to
+  // come.
   std::vector<std::thread> assemblers;
   const int n_assemblers = materialise ? config_.assembly_threads : 0;
   assemblers.reserve(static_cast<std::size_t>(n_assemblers));
@@ -716,13 +750,12 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
     assemblers.emplace_back([&] {
       Completed c;
       while (done.pop(c)) {
-        // A throw from the merge (map allocation) or from the sink
-        // callback must not std::terminate the process or stall the
+        // A throw from the merge (map or output allocation) or from the
+        // sink callback must not std::terminate the process or stall the
         // stream callbacks feeding `done`: record it, keep draining, and
         // let run() rethrow after the join.
         try {
-          Timer merge_timer;
-          std::lock_guard<std::mutex> lock(mu);
+          std::unique_lock<std::mutex> lock(mu);
           if (failed.load(std::memory_order_relaxed)) {
             pool_.release(std::move(c.pairs));  // drain and discard
             continue;
@@ -735,8 +768,7 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
                      "BatchPipeline: duplicate batch merge key");
           }
           segments[c.first_key] = std::move(c.pairs);
-          if (sinking) flush_ready();
-          acc.assembly_seconds += merge_timer.seconds();
+          flush_ready(lock);
         } catch (...) {
           {
             std::lock_guard<std::mutex> lock(mu);
@@ -861,7 +893,7 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
                   "buffer)");
               continue;
             }
-            if (sinking) {
+            {
               // Register the new half's key before either half can run:
               // lo inherits the parent's first key, hi adds one.
               std::lock_guard<std::mutex> lock(mu);
@@ -946,70 +978,18 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
     if (stats != nullptr) *stats = acc;
     return output;
   }
-  if (sinking) {
-    // Every batch completed, so the watermark has streamed everything.
-    flush_ready();
-    if (contracts::active()) {
-      SJ_CHECK(segments.empty() && pending.empty(),
-               "BatchPipeline: sink watermark must drain every segment");
-    }
-    output.total_pairs = sink_flushed;
-    if (stats != nullptr) *stats = acc;
-    return output;
+  // Every batch completed and the assemblers have emitted every segment
+  // whose turn came; the watermark must be drained.
+  if (!sinking && ctl != nullptr) ctl->check("final assembly");
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    flush_ready(lock);
   }
-
-  if (ctl != nullptr) ctl->check("final assembly");
-
-  // Deterministic final assembly: segments in ascending first-key order,
-  // each internally sorted by the device sort. Final offsets are only
-  // known once every segment has landed, so this concatenation is the
-  // pipeline's serial tail — the assembly workers parallelise it (each
-  // copies an interleaved subset of segments to its precomputed offset),
-  // which is where a multi-thread assembly config pays off on large
-  // result sets.
-  struct Placement {
-    const SegmentPool::Buffer* segment;
-    std::size_t offset;
-  };
-  std::vector<Placement> layout;
-  layout.reserve(segments.size());
-  std::size_t total = 0;
-  for (const auto& [key, buffer] : segments) {
-    layout.push_back({&buffer, total});
-    total += static_cast<std::size_t>(buffer.count);
+  if (contracts::active()) {
+    SJ_CHECK(segments.empty() && pending.empty(),
+             "BatchPipeline: the watermark must drain every segment");
   }
-  auto& out = output.pairs.pairs();
-  const std::size_t copiers = std::min<std::size_t>(
-      static_cast<std::size_t>(config_.assembly_threads), layout.size());
-  Timer concat_timer;
-  if (copiers <= 1) {
-    out.reserve(total);
-    for (const auto& p : layout) {
-      out.insert(out.end(), p.segment->data.get(),
-                 p.segment->data.get() + p.segment->count);
-    }
-  } else {
-    out.resize(total);
-    std::vector<std::thread> concat;
-    concat.reserve(copiers);
-    for (std::size_t t = 0; t < copiers; ++t) {
-      concat.emplace_back([&layout, &out, t, copiers] {
-        for (std::size_t i = t; i < layout.size(); i += copiers) {
-          std::copy(layout[i].segment->data.get(),
-                    layout[i].segment->data.get() + layout[i].segment->count,
-                    out.begin() + static_cast<std::ptrdiff_t>(
-                                      layout[i].offset));
-        }
-      });
-    }
-    for (auto& c : concat) c.join();
-  }
-  // The staged segments go back to the pool: the next run on this
-  // pipeline (or the next overflow-heavy round) reuses the allocations.
-  for (auto& [key, buffer] : segments) pool_.release(std::move(buffer));
-  acc.assembly_seconds += concat_timer.seconds();
-
-  output.total_pairs = out.size();
+  output.total_pairs = flushed;
   if (stats != nullptr) *stats = acc;
   return output;
 }

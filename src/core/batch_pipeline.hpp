@@ -7,16 +7,16 @@
 //
 //   [bounded task queue] -> kernel workers (stream pool: per-batch kernel,
 //   device key/value sort, async device->host transfer, double-buffered)
-//   -> [bounded assembly queue] -> host assembly threads (merge segments
-//   by batch key)
+//   -> [bounded assembly queue] -> host assembly threads (emit segments in
+//   batch-key order as soon as each one's turn has come)
 //
 // A batch whose result buffer overflows is split in two and fed back into
 // the SAME task queue — no barrier: the other streams keep executing
 // while the halves are retried. The final output is deterministic no
 // matter how streams and assembly threads interleave: batches own
 // disjoint query-id sets, every segment is device-sorted before transfer,
-// and segments are concatenated in ascending order of each batch's first
-// query id.
+// and segments are appended (or streamed to a sink) in ascending order of
+// each batch's first query id.
 #pragma once
 
 #include <algorithm>
@@ -112,9 +112,11 @@ inline constexpr std::uint64_t kDeviceBuffersPerStream = 4;
 /// Allocating a fresh std::vector<Pair> per segment value-initialises it —
 /// a full O(result) zero-fill immediately overwritten by the device->host
 /// transfer — and churns the allocator on every batch. The pool hands out
-/// UNINITIALISED storage (cudaMallocHost semantics) and takes segments
-/// back after the final concatenation, so repeated runs on the same
-/// pipeline (and overflow-heavy runs) reuse the same allocations.
+/// UNINITIALISED storage (cudaMallocHost semantics) and takes each segment
+/// back as soon as assembly has emitted it (appended to the output or
+/// handed to the sink), so later batches of the same run, repeated runs on
+/// the same pipeline and overflow-heavy runs reuse the same allocations;
+/// staging holds only the batches that wait for an earlier key.
 class SegmentPool {
  public:
   struct Buffer {

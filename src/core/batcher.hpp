@@ -87,7 +87,9 @@ std::uint64_t size_buffer_pairs(const gpu::GlobalMemoryArena& arena,
 /// What a pipeline/batcher run should materialise (ResultMode,
 /// common/result.hpp).
 ///
-///   kPairs     — the full ResultSet, as before.
+///   kPairs     — the full ResultSet: each completed segment is appended
+///                to it as soon as its batch-key turn comes (the
+///                watermark below).
 ///   kCountOnly — total pair count only: no result buffers, no device
 ///                sort, no transfers, no assembly stage.
 ///   kHistogram — per-key neighbour counts into one O(n) device array
@@ -98,7 +100,7 @@ std::uint64_t size_buffer_pairs(const gpu::GlobalMemoryArena& arena,
 ///                completed segments are streamed through `sink` in
 ///                ascending batch order AS SOON AS the order is settled
 ///                (a watermark over the outstanding batch keys) instead
-///                of being concatenated — peak host memory drops from
+///                of being appended — peak host memory drops from
 ///                O(pairs) to O(in-flight batches). The callback is
 ///                invoked serially; the concatenation of its batches is
 ///                byte-identical to the kPairs output.

@@ -701,21 +701,38 @@ namespace {
 /// the split itself then never depends on the machine.
 constexpr std::size_t kAdjacencySpans = 64;
 
+/// Allocate `adj` for a span of `num_cells` cells: its weights and
+/// offsets and, in up to two dimensions, room for the most ranges its
+/// cells can produce — one per dimension-0 run of a neighbourhood
+/// (3^(d-1)), plus two under UNICOMP (the home cell on its own and the
+/// run split around it). In more dimensions that bound is far above the
+/// usual count; build_span reserves an estimate instead and grows it.
+void size_span(CellAdjacencyHost& adj, int dim, std::size_t num_cells) {
+  adj.weights.reserve(num_cells);
+  adj.offsets.reserve(num_cells + 1);
+  if (dim <= 2) {
+    adj.ranges.reserve(num_cells *
+                       (kPow3[static_cast<std::size_t>(dim - 1)] + 2));
+  }
+}
+
 /// build_cell_adjacency_span without the validator: the body every
-/// builder runs once per span.
-CellAdjacencyHost build_span(const GridDeviceView& grid, bool unicomp,
-                             std::uint32_t cell_begin,
-                             std::uint32_t cell_end) {
-  CellAdjacencyHost adj;
+/// builder runs once per span, into an `adj` sized by size_span (filling
+/// it here, within that capacity, keeps the first touch on the worker).
+void build_span(const GridDeviceView& grid, bool unicomp,
+                std::uint32_t cell_begin, std::uint32_t cell_end,
+                CellAdjacencyHost& adj) {
   const std::size_t num_cells = cell_end - cell_begin;
   adj.weights.assign(num_cells, 0);
   adj.offsets.assign(num_cells + 1, 0);
-  if (num_cells == 0) return adj;
+  if (num_cells == 0) return;
+  // Ranges that may outgrow their first allocation are allocated here,
+  // by the thread that regrows (and so frees) them.
+  if (grid.dim > 2) adj.ranges.reserve(num_cells * 4);
 
   // One run-scan pass over the span's cells, in ascending B order so
   // every cursor only moves forward, accumulated as a CSR-style
   // (offsets, ranges) pair.
-  adj.ranges.reserve(num_cells * 4);
   RunCursors cursors(grid.dim);
   LocalWork w;  // planning work, not flushed into join counters
   for (std::size_t cell = 0; cell < num_cells; ++cell) {
@@ -741,24 +758,34 @@ CellAdjacencyHost build_span(const GridDeviceView& grid, bool unicomp,
   }
   adj.cells_examined = w.cells_examined;
   adj.cells_nonempty = w.cells_nonempty;
-  return adj;
 }
 
 /// The whole grid's adjacency as `spans` contiguous cell spans (fewer
 /// when there are fewer cells), built in parallel; span s covers cells
-/// [b_size * s / spans, b_size * (s + 1) / spans).
+/// [b_size * s / spans, b_size * (s + 1) / spans). The calling thread
+/// allocates every span's buffers before the parallel region and frees
+/// them after it, so they come from (and return to) its own malloc arena:
+/// buffers allocated on the OpenMP workers would be released into the
+/// workers' arenas, which keep the freed memory resident. Only the ranges
+/// of grids above two dimensions are allocated on the workers.
 std::vector<CellAdjacencyHost> build_spans(const GridDeviceView& grid,
                                            bool unicomp, std::size_t spans) {
   const std::uint64_t cells = grid.b_size;
   const std::uint64_t parts_n =
       std::min<std::uint64_t>(std::max<std::size_t>(spans, 1), cells);
+  auto bound = [cells, parts_n](std::uint64_t s) {
+    return static_cast<std::uint32_t>(cells * s / parts_n);
+  };
   std::vector<CellAdjacencyHost> parts(static_cast<std::size_t>(parts_n));
+  for (std::uint64_t s = 0; s < parts_n; ++s) {
+    size_span(parts[static_cast<std::size_t>(s)], grid.dim,
+              bound(s + 1) - bound(s));
+  }
 #pragma omp parallel for schedule(dynamic, 1)
   for (std::int64_t s = 0; s < static_cast<std::int64_t>(parts_n); ++s) {
     const auto u = static_cast<std::uint64_t>(s);
-    parts[static_cast<std::size_t>(s)] = build_span(
-        grid, unicomp, static_cast<std::uint32_t>(cells * u / parts_n),
-        static_cast<std::uint32_t>(cells * (u + 1) / parts_n));
+    build_span(grid, unicomp, bound(u), bound(u + 1),
+               parts[static_cast<std::size_t>(s)]);
   }
   return parts;
 }
@@ -802,7 +829,9 @@ CellAdjacencyHost build_cell_adjacency_span(const GridDeviceView& grid,
                                             bool unicomp,
                                             std::uint32_t cell_begin,
                                             std::uint32_t cell_end) {
-  CellAdjacencyHost adj = build_span(grid, unicomp, cell_begin, cell_end);
+  CellAdjacencyHost adj;
+  size_span(adj, grid.dim, cell_end - cell_begin);
+  build_span(grid, unicomp, cell_begin, cell_end, adj);
   if (contracts::active()) {
     validate::cell_adjacency(adj, cell_end - cell_begin, grid.n,
                              "build_cell_adjacency_span");

@@ -1,14 +1,25 @@
 // Batching scheme (Section V-A): plan sizing, the >= 3 batch minimum,
-// overflow splitting, and exactness under severe memory pressure.
+// overflow splitting, exactness under severe memory pressure, and the
+// order in which the pipeline assembles its batches.
 #include "core/batcher.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <limits>
+#include <thread>
+#include <vector>
+
 #include "bruteforce/brute_force.hpp"
+#include "common/cancel.hpp"
 #include "common/datagen.hpp"
 #include "common/fault.hpp"
+#include "core/batch_pipeline.hpp"
 #include "core/device_view.hpp"
 #include "core/grid_index.hpp"
+#include "core/kernels.hpp"
 #include "core/self_join.hpp"
 
 namespace sj {
@@ -206,6 +217,248 @@ TEST(Batching, BatchResultsArriveSortedPerBatch) {
   auto copy = r.pairs;
   copy.normalize();
   EXPECT_EQ(copy.size(), r.pairs.size());  // no duplicates across batches
+}
+
+// ------------------------------------------------------ pipeline ordering
+//
+// The pipeline's output order, checked against oracles that share none
+// of its assembly code: brute-force pairs, bucketed by the batch that
+// owns each key's slot, in plan order.
+
+/// One pairs-mode BatchPipeline::run_cells over a cell-major grid, with
+/// what the oracles need to attribute a key to its batch.
+struct CellRun {
+  std::vector<Pair> pairs;
+  BatchRunStats stats;
+  std::vector<std::uint32_t> slot_of;      // original id -> point slot
+  std::vector<std::uint32_t> batch_begin;  // first slot of each batch
+
+  /// Index of the batch whose slots hold original id `id`.
+  std::size_t batch_of(std::uint32_t id) const {
+    return static_cast<std::size_t>(
+        std::upper_bound(batch_begin.begin(), batch_begin.end(),
+                         slot_of[id]) -
+        batch_begin.begin() - 1);
+  }
+  /// Segments the pipeline emitted: every successful launch makes one.
+  std::size_t segments() const {
+    return stats.batches_run - stats.overflow_retries;
+  }
+  /// True when a batch was split, so it spans several sorted segments.
+  bool split() const {
+    return stats.overflow_retries > 0 || stats.batches_split_on_oom > 0;
+  }
+};
+
+CellRun run_cells_pairs(const Dataset& d, double eps, bool unicomp,
+                        int streams, std::uint64_t buffer_pairs,
+                        std::size_t batches,
+                        const exec::ExecControl* control = nullptr,
+                        AtomicWork* work = nullptr) {
+  const GpuSelfJoinOptions opt;
+  const GridIndex index(d, eps);
+  gpu::GlobalMemoryArena arena(opt.device);
+  const DeviceGrid dev(arena, d, index, GridLayout::kCellMajor);
+  const GridDeviceView grid = dev.view();
+  const CellAdjacency adjacency = build_cell_adjacency(arena, grid, unicomp);
+  const CellBatchPlan plan =
+      plan_cell_batches(adjacency.weights, 0, batches, buffer_pairs, 1.0);
+
+  CellRun run;
+  run.slot_of.resize(d.size());
+  for (std::uint32_t slot = 0; slot < d.size(); ++slot) {
+    run.slot_of[grid.orig[slot]] = slot;
+  }
+  for (std::size_t b = 0; b < plan.num_batches(); ++b) {
+    run.batch_begin.push_back(grid.G[plan.boundaries[b]].min);
+  }
+  PipelineConfig config;
+  config.streams = streams;
+  BatchPipeline pipeline(arena, opt.device, config);
+  ResultRequest req;
+  req.control = control;
+  AtomicWork local;
+  run.pairs = pipeline
+                  .run_cells(req, grid, unicomp, plan, &adjacency,
+                             work != nullptr ? work : &local, &run.stats)
+                  .pairs.pairs();
+  return run;
+}
+
+/// Brute-force pairs bucketed by the batch owning their key, each bucket
+/// sorted: what each batch's segment holds without the UNICOMP reverse
+/// pairs.
+std::vector<std::vector<Pair>> oracle_batches(const Dataset& d, double eps,
+                                              const CellRun& run) {
+  std::vector<std::vector<Pair>> per(run.batch_begin.size());
+  const brute::BruteResult truth = brute::self_join(d, eps);
+  for (const Pair& p : truth.pairs.pairs()) {
+    per[run.batch_of(p.key)].push_back(p);
+  }
+  for (auto& b : per) std::sort(b.begin(), b.end());
+  return per;
+}
+
+/// Start of each maximal non-decreasing run of `v`.
+std::vector<std::size_t> sorted_run_starts(const std::vector<Pair>& v) {
+  std::vector<std::size_t> starts;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i == 0 || v[i] < v[i - 1]) starts.push_back(i);
+  }
+  return starts;
+}
+
+/// The full-neighbourhood order without assuming where batches split:
+/// keys visit the batches in plan order, each batch's block holds exactly
+/// its oracle pairs, and the sorted runs inside a block (a split batch's
+/// halves) cover ascending, disjoint slot ranges.
+void expect_plan_ordered_blocks(const CellRun& run,
+                                const std::vector<std::vector<Pair>>& want) {
+  std::size_t pos = 0;
+  for (std::size_t b = 0; b < want.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    ASSERT_LE(pos + want[b].size(), run.pairs.size());
+    std::vector<Pair> block(run.pairs.begin() + static_cast<std::ptrdiff_t>(pos),
+                            run.pairs.begin() + static_cast<std::ptrdiff_t>(
+                                                    pos + want[b].size()));
+    pos += want[b].size();
+    for (const Pair& p : block) ASSERT_EQ(run.batch_of(p.key), b);
+    std::int64_t prev_max_slot = -1;
+    const std::vector<std::size_t> starts = sorted_run_starts(block);
+    for (std::size_t r = 0; r < starts.size(); ++r) {
+      const std::size_t end = r + 1 < starts.size() ? starts[r + 1] : block.size();
+      std::int64_t lo = std::numeric_limits<std::int64_t>::max();
+      std::int64_t hi = -1;
+      for (std::size_t i = starts[r]; i < end; ++i) {
+        lo = std::min<std::int64_t>(lo, run.slot_of[block[i].key]);
+        hi = std::max<std::int64_t>(hi, run.slot_of[block[i].key]);
+      }
+      EXPECT_GT(lo, prev_max_slot) << "sorted run " << r;
+      prev_max_slot = hi;
+    }
+    std::sort(block.begin(), block.end());
+    EXPECT_EQ(block, want[b]);
+  }
+  EXPECT_EQ(pos, run.pairs.size());
+}
+
+TEST(PipelineOrder, FullNeighbourhoodIsPlanOrderedSortedBatches) {
+  const auto d = datagen::gaussian_mixture(3000, 2, 5, 2.0, 0.0, 60.0, 43);
+  const double eps = 1.2;
+  std::vector<Pair> first;
+  for (const int streams : {1, 3}) {
+    SCOPED_TRACE("streams " + std::to_string(streams));
+    const CellRun run =
+        run_cells_pairs(d, eps, /*unicomp=*/false, streams, 1u << 20, 7);
+    ASSERT_EQ(run.batch_begin.size(), 7u);
+    const auto want = oracle_batches(d, eps, run);
+    expect_plan_ordered_blocks(run, want);
+    if (!run.split()) {
+      // One sorted segment per batch: the output IS the concatenation.
+      std::vector<Pair> concat;
+      for (const auto& b : want) concat.insert(concat.end(), b.begin(), b.end());
+      EXPECT_EQ(run.pairs, concat);
+    }
+    if (first.empty()) {
+      first = run.pairs;
+    } else if (!run.split()) {
+      EXPECT_EQ(run.pairs, first);
+    }
+  }
+}
+
+TEST(PipelineOrder, OverflowSplitsKeepPlanOrder) {
+  // Buffers of 200 pairs split most batches, some down to single cells
+  // and slot subranges; the halves land in ascending slot order.
+  const auto d = datagen::gaussian_mixture(2000, 2, 4, 2.0, 0.0, 40.0, 47);
+  const double eps = 1.0;
+  std::vector<Pair> bytes[2];
+  for (const int streams : {1, 3}) {
+    SCOPED_TRACE("streams " + std::to_string(streams));
+    const CellRun run =
+        run_cells_pairs(d, eps, /*unicomp=*/false, streams, 200, 5);
+    EXPECT_GT(run.stats.overflow_retries, 0u);
+    expect_plan_ordered_blocks(run, oracle_batches(d, eps, run));
+    if (run.stats.batches_split_on_oom == 0) {
+      bytes[streams == 1 ? 0 : 1] = run.pairs;
+    }
+  }
+  if (!bytes[0].empty() && !bytes[1].empty()) {
+    EXPECT_EQ(bytes[0], bytes[1]);
+  }
+}
+
+TEST(PipelineOrder, UnicompOutputIsOneSortedRunPerSegment) {
+  // UNICOMP batches also emit reverse pairs keyed outside their own
+  // slots, so the output is not plan-ordered by key; it is still the
+  // concatenation of the emitted segments, each sorted.
+  const auto d = datagen::gaussian_mixture(3000, 2, 5, 2.0, 0.0, 60.0, 53);
+  const double eps = 1.2;
+  auto want = brute::self_join(d, eps).pairs.pairs();
+  std::sort(want.begin(), want.end());
+  for (const std::uint64_t buffer : {std::uint64_t{1} << 20, std::uint64_t{300}}) {
+    std::vector<Pair> first;
+    for (const int streams : {1, 3}) {
+      SCOPED_TRACE("streams " + std::to_string(streams) + ", buffer " +
+                   std::to_string(buffer));
+      const CellRun run =
+          run_cells_pairs(d, eps, /*unicomp=*/true, streams, buffer, 6);
+      if (buffer < 1000) {
+        EXPECT_GT(run.stats.overflow_retries, 0u);
+      }
+      EXPECT_GE(run.segments(), run.batch_begin.size());
+      EXPECT_LE(sorted_run_starts(run.pairs).size(), run.segments());
+      auto sorted = run.pairs;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(sorted, want);
+      if (run.stats.batches_split_on_oom != 0) continue;
+      if (first.empty()) {
+        first = run.pairs;
+      } else {
+        EXPECT_EQ(run.pairs, first);
+      }
+    }
+  }
+}
+
+TEST(PipelineOrder, CancelFromAnotherThreadMidRunInPairsMode) {
+  // A client thread trips the token once the first kernel has flushed
+  // its work; the run must surface exec::Cancelled through the drain
+  // path (in a contracts build, SegmentPool also checks that no staging
+  // buffer comes back twice). A run that completes before the token is
+  // tripped is not an error — it is retried, so the test does not depend
+  // on scheduling.
+  const auto d = datagen::gaussian_mixture(6000, 2, 5, 2.0, 0.0, 60.0, 59);
+  int cancelled = 0;
+  for (int attempt = 0; attempt < 20 && cancelled == 0; ++attempt) {
+    exec::CancelToken token;
+    exec::ExecControl ctl;
+    ctl.cancel = &token;
+    AtomicWork work;
+    std::atomic<bool> finished{false};
+    std::thread client([&] {
+      gpu::KernelMetrics m;
+      while (!finished.load()) {
+        m = {};
+        work.add_to(m);
+        if (m.distance_calcs > 0) {
+          token.cancel();
+          return;
+        }
+        std::this_thread::yield();
+      }
+    });
+    try {
+      const CellRun run = run_cells_pairs(d, 1.2, /*unicomp=*/true, 3,
+                                          1u << 20, 40, &ctl, &work);
+      EXPECT_FALSE(run.pairs.empty());
+    } catch (const exec::Cancelled&) {
+      ++cancelled;
+    }
+    finished.store(true);
+    client.join();
+  }
+  EXPECT_EQ(cancelled, 1);
 }
 
 }  // namespace
