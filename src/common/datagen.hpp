@@ -12,8 +12,7 @@
 //                    Neyman–Scott cluster process (galaxy clusters plus a
 //                    uniform field population) in 2-D.
 // * gaussian_mixture(), exponential_blob(), ippp() — extra distributions
-//                    used by tests, the skew ablation and the async
-//                    pipeline stress bench.
+//                    used by tests and the ablation benches.
 //
 // All generators are fully deterministic in (n, seed).
 #pragma once

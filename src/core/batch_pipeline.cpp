@@ -362,10 +362,6 @@ BatchPipeline::BatchPipeline(gpu::GlobalMemoryArena& arena,
   if (config_.streams <= 0) {
     throw std::invalid_argument("BatchPipeline: streams must be positive");
   }
-  if (config_.assembly_threads <= 0) {
-    throw std::invalid_argument(
-        "BatchPipeline: assembly_threads must be positive");
-  }
   if (config_.block_size <= 0) {
     throw std::invalid_argument("BatchPipeline: block_size must be positive");
   }
@@ -394,12 +390,6 @@ PipelineOutput empty_output(const ResultRequest& req, BatchRunStats* stats) {
 
 }  // namespace
 
-ResultSet BatchPipeline::run(const GridDeviceView& grid, bool unicomp,
-                             const BatchPlan& plan, AtomicWork* work,
-                             BatchRunStats* stats) {
-  return run(ResultRequest{}, grid, unicomp, plan, work, stats).pairs;
-}
-
 PipelineOutput BatchPipeline::run(const ResultRequest& req,
                                   const GridDeviceView& grid, bool unicomp,
                                   const BatchPlan& plan, AtomicWork* work,
@@ -415,15 +405,6 @@ PipelineOutput BatchPipeline::run(const ResultRequest& req,
       std::max<std::uint64_t>(plan.buffer_pairs, 1);
   const PointMode mode(grid, unicomp, nb, config_.block_size);
   return run_impl(mode, nb, buffer_pairs, req, work, stats);
-}
-
-ResultSet BatchPipeline::run_cells(const GridDeviceView& grid, bool unicomp,
-                                   const CellBatchPlan& plan,
-                                   const CellAdjacency* adjacency,
-                                   AtomicWork* work, BatchRunStats* stats) {
-  return run_cells(ResultRequest{}, grid, unicomp, plan, adjacency, work,
-                   stats)
-      .pairs;
 }
 
 PipelineOutput BatchPipeline::run_cells(const ResultRequest& req,
@@ -444,15 +425,6 @@ PipelineOutput BatchPipeline::run_cells(const ResultRequest& req,
       std::max<std::uint64_t>(plan.buffer_pairs, 1);
   const CellMode mode(grid, unicomp, plan, adjacency, config_.block_size);
   return run_impl(mode, plan.num_batches(), buffer_pairs, req, work, stats);
-}
-
-ResultSet BatchPipeline::run_join_groups(const GridDeviceView& grid,
-                                         const CellBatchPlan& plan,
-                                         const JoinAdjacency& adjacency,
-                                         AtomicWork* work,
-                                         BatchRunStats* stats) {
-  return run_join_groups(ResultRequest{}, grid, plan, adjacency, work, stats)
-      .pairs;
 }
 
 PipelineOutput BatchPipeline::run_join_groups(const ResultRequest& req,
@@ -497,20 +469,26 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
       req.mode == ResultMode::kPairs || req.mode == ResultMode::kSink;
   const bool sinking = req.mode == ResultMode::kSink;
 
-  // Double-buffered device allocations, owned by the caller thread so a
-  // DeviceOutOfMemory propagates here instead of killing a worker.
+  // Device allocations, owned by the caller thread so a
+  // DeviceOutOfMemory propagates here instead of killing a worker: per
+  // worker, two double-buffered result slots and one sort scratch (the
+  // sort runs synchronously on the worker, so both slots share it) —
+  // kDeviceBuffersPerStream buffers in all.
   struct Slot {
     gpu::DeviceBuffer<Pair> buffer;
-    gpu::DeviceBuffer<Pair> scratch;  // thrust-style O(n) sort storage
-    gpu::Event transferred;           // signals this slot's buffer is free
+    gpu::Event transferred;  // signals this slot's buffer is free
   };
-  std::vector<std::array<Slot, 2>> slots(
+  struct WorkerBuffers {
+    std::array<Slot, 2> slots;
+    gpu::DeviceBuffer<Pair> scratch;  // thrust-style O(n) sort storage
+  };
+  std::vector<WorkerBuffers> buffers(
       materialise ? static_cast<std::size_t>(config_.streams) : 0);
-  for (auto& pair_of_slots : slots) {
-    for (Slot& s : pair_of_slots) {
+  for (WorkerBuffers& wb : buffers) {
+    for (Slot& s : wb.slots) {
       s.buffer = gpu::DeviceBuffer<Pair>(arena_, buffer_pairs);
-      s.scratch = gpu::DeviceBuffer<Pair>(arena_, buffer_pairs);
     }
+    wb.scratch = gpu::DeviceBuffer<Pair>(arena_, buffer_pairs);
   }
 
   // Histogram mode: one zero-filled per-key count plane shared by every
@@ -527,8 +505,7 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
           ? config_.task_queue_capacity
           : 2 * static_cast<std::size_t>(config_.streams);
   BoundedQueue<Task> tasks(task_cap);
-  BoundedQueue<Completed> done(
-      2 * static_cast<std::size_t>(config_.assembly_threads));
+  BoundedQueue<Completed> done(2);
 
   // Tasks seeded or split but not yet terminally handled; the thread that
   // brings it to zero closes the task queue and ends the kernel stage.
@@ -565,18 +542,15 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
   }
   std::uint64_t flushed = 0;
   std::int64_t last_flushed_key = -1;
-  bool flushing = false;  // one thread at a time emits segments
 
   // Emit every segment whose turn has come (callers hold `lock` on mu).
-  // Only one thread emits at a time, in key order, so sink consumers see
-  // ordered, non-overlapping calls; the copy or callback itself runs with
-  // mu released, so kernel workers never wait on it for the stats lock. A
-  // segment that lands meanwhile is picked up by the emitting thread's
-  // next turn of the loop. A control tripped by an earlier flush (or from
-  // inside the sink itself) stops the stream before the next one.
+  // Only the assembly thread emits — and run() itself once it has joined
+  // — in key order, so sink consumers see ordered, non-overlapping calls;
+  // the copy or callback itself runs with mu released, so kernel workers
+  // never wait on it for the stats lock. A control tripped by an earlier
+  // flush (or from inside the sink itself) stops the stream before the
+  // next one.
   auto flush_ready = [&](std::unique_lock<std::mutex>& lock) {
-    if (flushing) return;
-    flushing = true;
     while (!segments.empty() && !pending.empty() &&
            segments.begin()->first == *pending.begin()) {
       SegmentPool::Buffer buf;
@@ -609,12 +583,10 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
         pool_.release(std::move(buf));
       } catch (...) {
         if (!lock.owns_lock()) lock.lock();
-        flushing = false;
         pool_.release(std::move(buf));  // no-op unless taken from the map
         throw;
       }
     }
-    flushing = false;
   };
 
   auto complete_one = [&outstanding, &tasks] {
@@ -737,17 +709,15 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
     }
   };
 
-  // --- Stage 3: host assembly. Completed segments are keyed into the
-  // deterministic batch order while further kernels run, and each arrival
-  // advances the watermark: sink mode streams the segments whose turn has
-  // come to the callback, pairs mode appends them to the output, and
-  // their staging buffers return to the pool for the batches still to
-  // come.
-  std::vector<std::thread> assemblers;
-  const int n_assemblers = materialise ? config_.assembly_threads : 0;
-  assemblers.reserve(static_cast<std::size_t>(n_assemblers));
-  for (int a = 0; a < n_assemblers; ++a) {
-    assemblers.emplace_back([&] {
+  // --- Stage 3: host assembly (materialising modes only). Completed
+  // segments are keyed into the deterministic batch order while further
+  // kernels run, and each arrival advances the watermark: sink mode
+  // streams the segments whose turn has come to the callback, pairs mode
+  // appends them to the output, and their staging buffers return to the
+  // pool for the batches still to come.
+  std::thread assembler;
+  if (materialise) {
+    assembler = std::thread([&] {
       Completed c;
       while (done.pop(c)) {
         // A throw from the merge (map or output allocation) or from the
@@ -795,10 +765,9 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
   for (int w = 0; w < config_.streams; ++w) {
     workers.emplace_back([&, w] {
       gpu::Stream stream(spec_);
-      // Slot array is empty in the non-materialising modes.
-      Slot* my_slots = materialise
-                           ? slots[static_cast<std::size_t>(w)].data()
-                           : nullptr;
+      // No buffers in the non-materialising modes.
+      WorkerBuffers* mine =
+          materialise ? &buffers[static_cast<std::size_t>(w)] : nullptr;
       int flip = 0;
       Task task;
       while (tasks.pop(task)) {
@@ -852,7 +821,7 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
             continue;
           }
 
-          Slot& slot = my_slots[static_cast<std::size_t>(flip)];
+          Slot& slot = mine->slots[static_cast<std::size_t>(flip)];
           flip ^= 1;
           slot.transferred.wait();  // slot's previous transfer has drained
 
@@ -909,7 +878,7 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
           // makes every segment's content deterministic.
           Timer sort_timer;
           gpu::sort_pairs_by_key(slot.buffer.data(), nres,
-                                 slot.scratch.data());
+                                 mine->scratch.data());
           const double sort_s = sort_timer.seconds();
 
           // Async transfer + hand-off: enqueued on the stream so this
@@ -961,7 +930,7 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
 
   for (auto& w : workers) w.join();
   done.close();
-  for (auto& a : assemblers) a.join();
+  if (assembler.joinable()) assembler.join();
 
   if (first_error != nullptr) std::rethrow_exception(first_error);
 
@@ -978,7 +947,7 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
     if (stats != nullptr) *stats = acc;
     return output;
   }
-  // Every batch completed and the assemblers have emitted every segment
+  // Every batch completed and the assembler has emitted every segment
   // whose turn came; the watermark must be drained.
   if (!sinking && ctl != nullptr) ctl->check("final assembly");
   {

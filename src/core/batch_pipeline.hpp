@@ -7,13 +7,13 @@
 //
 //   [bounded task queue] -> kernel workers (stream pool: per-batch kernel,
 //   device key/value sort, async device->host transfer, double-buffered)
-//   -> [bounded assembly queue] -> host assembly threads (emit segments in
-//   batch-key order as soon as each one's turn has come)
+//   -> [bounded assembly queue] -> one host assembly thread (emits
+//   segments in batch-key order as soon as each one's turn has come)
 //
 // A batch whose result buffer overflows is split in two and fed back into
 // the SAME task queue — no barrier: the other streams keep executing
 // while the halves are retried. The final output is deterministic no
-// matter how streams and assembly threads interleave: batches own
+// matter how the streams interleave: batches own
 // disjoint query-id sets, every segment is device-sorted before transfer,
 // and segments are appended (or streamed to a sink) in ascending order of
 // each batch's first query id.
@@ -104,9 +104,10 @@ class BoundedQueue {
 };
 
 /// Device allocations one pipeline stream worker holds: two double-
-/// buffered slots, each a result buffer plus the O(n) sort scratch.
+/// buffered result slots plus one O(n) sort scratch (the sort runs
+/// synchronously on the worker, so its slots share it).
 /// size_buffer_pairs() (batcher.hpp) divides free device memory by this.
-inline constexpr std::uint64_t kDeviceBuffersPerStream = 4;
+inline constexpr std::uint64_t kDeviceBuffersPerStream = 3;
 
 /// Recycled host-side staging buffers for completed batch segments.
 /// Allocating a fresh std::vector<Pair> per segment value-initialises it —
@@ -138,8 +139,7 @@ class SegmentPool {
 };
 
 struct PipelineConfig {
-  int streams = 3;           ///< kernel-stage workers, one gpu::Stream each
-  int assembly_threads = 1;  ///< host-side merge workers
+  int streams = 3;  ///< kernel-stage workers, one gpu::Stream each
   int block_size = 256;
   std::size_t task_queue_capacity = 0;  ///< 0 -> 2 * streams
   RetryPolicy retry;  ///< transient-fault response (batcher.hpp)
@@ -156,7 +156,9 @@ std::exception_ptr annotate_exception(std::exception_ptr e,
                                       const std::string& context);
 
 /// The three-stage pipeline. Construct one per join run; run() spins up
-/// the worker and assembly threads, executes the plan, and joins them.
+/// the stream workers and the assembly thread, executes the plan, and
+/// joins them. Every entry point materialises what its ResultRequest
+/// asks for.
 class BatchPipeline {
  public:
   BatchPipeline(gpu::GlobalMemoryArena& arena, const gpu::DeviceSpec& spec,
@@ -166,24 +168,9 @@ class BatchPipeline {
   /// overflowed batches are split and retried through the same queue;
   /// throws gpu::DeviceOutOfMemory when a single point's neighbourhood
   /// exceeds the buffer (unsplittable).
-  ResultSet run(const GridDeviceView& grid, bool unicomp,
-                const BatchPlan& plan, AtomicWork* work, BatchRunStats* stats);
-
-  /// Mode-aware variants (see ResultRequest); the ResultSet-returning
-  /// overloads above and below are the kPairs special case.
   PipelineOutput run(const ResultRequest& req, const GridDeviceView& grid,
                      bool unicomp, const BatchPlan& plan, AtomicWork* work,
                      BatchRunStats* stats);
-  PipelineOutput run_cells(const ResultRequest& req,
-                           const GridDeviceView& grid, bool unicomp,
-                           const CellBatchPlan& plan,
-                           const CellAdjacency* adjacency, AtomicWork* work,
-                           BatchRunStats* stats);
-  PipelineOutput run_join_groups(const ResultRequest& req,
-                                 const GridDeviceView& grid,
-                                 const CellBatchPlan& plan,
-                                 const JoinAdjacency& adjacency,
-                                 AtomicWork* work, BatchRunStats* stats);
 
   /// Cell-centric variant: `grid` must be cell-major and batches are the
   /// plan's contiguous cell ranges, executed by the cell-centric kernel
@@ -193,10 +180,11 @@ class BatchPipeline {
   /// split by cells first, then by point subranges of a single oversized
   /// cell, so the unsplittable-overflow condition is the same as run()'s:
   /// one point's neighbourhood exceeding the buffer.
-  ResultSet run_cells(const GridDeviceView& grid, bool unicomp,
-                      const CellBatchPlan& plan,
-                      const CellAdjacency* adjacency, AtomicWork* work,
-                      BatchRunStats* stats);
+  PipelineOutput run_cells(const ResultRequest& req,
+                           const GridDeviceView& grid, bool unicomp,
+                           const CellBatchPlan& plan,
+                           const CellAdjacency* adjacency, AtomicWork* work,
+                           BatchRunStats* stats);
 
   /// Query/data-join variant over a cell-major data grid with an external
   /// query set (grid.qpoints): batches are the plan's contiguous QUERY
@@ -205,10 +193,11 @@ class BatchPipeline {
   /// Overflowed batches split by groups, then by query subranges of a
   /// single oversized group — the fatal condition is one QUERY's
   /// neighbourhood exceeding the buffer, as in run().
-  ResultSet run_join_groups(const GridDeviceView& grid,
-                            const CellBatchPlan& plan,
-                            const JoinAdjacency& adjacency, AtomicWork* work,
-                            BatchRunStats* stats);
+  PipelineOutput run_join_groups(const ResultRequest& req,
+                                 const GridDeviceView& grid,
+                                 const CellBatchPlan& plan,
+                                 const JoinAdjacency& adjacency,
+                                 AtomicWork* work, BatchRunStats* stats);
 
  private:
   template <typename Mode>

@@ -113,32 +113,12 @@ std::uint64_t size_buffer_pairs(const gpu::GlobalMemoryArena& arena,
   return std::max<std::uint64_t>(buffer_pairs, 64);
 }
 
-ResultSet Batcher::run(const GridDeviceView& grid, bool unicomp,
-                       const BatchPlan& plan, AtomicWork* work,
-                       BatchRunStats* stats) {
-  return run(ResultRequest{}, grid, unicomp, plan, work, stats).pairs;
-}
-
 PipelineOutput Batcher::run(const ResultRequest& req,
                             const GridDeviceView& grid, bool unicomp,
                             const BatchPlan& plan, AtomicWork* work,
                             BatchRunStats* stats) {
-  PipelineConfig config;
-  config.streams = std::max(1, num_streams_);
-  config.assembly_threads = 1;
-  config.block_size = block_size_;
-  config.retry = retry_;
-  BatchPipeline pipeline(arena_, spec_, config);
+  BatchPipeline pipeline(arena_, spec_, config());
   return pipeline.run(req, grid, unicomp, plan, work, stats);
-}
-
-ResultSet Batcher::run_cells(const GridDeviceView& grid, bool unicomp,
-                             const CellBatchPlan& plan,
-                             const CellAdjacency* adjacency, AtomicWork* work,
-                             BatchRunStats* stats) {
-  return run_cells(ResultRequest{}, grid, unicomp, plan, adjacency, work,
-                   stats)
-      .pairs;
 }
 
 PipelineOutput Batcher::run_cells(const ResultRequest& req,
@@ -146,21 +126,8 @@ PipelineOutput Batcher::run_cells(const ResultRequest& req,
                                   const CellBatchPlan& plan,
                                   const CellAdjacency* adjacency,
                                   AtomicWork* work, BatchRunStats* stats) {
-  PipelineConfig config;
-  config.streams = std::max(1, num_streams_);
-  config.assembly_threads = 1;
-  config.block_size = block_size_;
-  config.retry = retry_;
-  BatchPipeline pipeline(arena_, spec_, config);
+  BatchPipeline pipeline(arena_, spec_, config());
   return pipeline.run_cells(req, grid, unicomp, plan, adjacency, work, stats);
-}
-
-ResultSet Batcher::run_join_groups(const GridDeviceView& grid,
-                                   const CellBatchPlan& plan,
-                                   const JoinAdjacency& adjacency,
-                                   AtomicWork* work, BatchRunStats* stats) {
-  return run_join_groups(ResultRequest{}, grid, plan, adjacency, work, stats)
-      .pairs;
 }
 
 PipelineOutput Batcher::run_join_groups(const ResultRequest& req,
@@ -169,13 +136,16 @@ PipelineOutput Batcher::run_join_groups(const ResultRequest& req,
                                         const JoinAdjacency& adjacency,
                                         AtomicWork* work,
                                         BatchRunStats* stats) {
+  BatchPipeline pipeline(arena_, spec_, config());
+  return pipeline.run_join_groups(req, grid, plan, adjacency, work, stats);
+}
+
+PipelineConfig Batcher::config() const {
   PipelineConfig config;
   config.streams = std::max(1, num_streams_);
-  config.assembly_threads = 1;
   config.block_size = block_size_;
   config.retry = retry_;
-  BatchPipeline pipeline(arena_, spec_, config);
-  return pipeline.run_join_groups(req, grid, plan, adjacency, work, stats);
+  return config;
 }
 
 Batcher::Batcher(gpu::GlobalMemoryArena& arena, const gpu::DeviceSpec& spec,

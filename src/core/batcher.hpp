@@ -10,8 +10,8 @@
 //
 // The execution machinery lives in batch_pipeline.hpp: a three-stage
 // pipeline (task queue -> stream pool -> host assembly) with
-// deterministic, batch-keyed result order. Batcher is the serial-friendly
-// facade over it that GpuSelfJoin and the query/data join use.
+// deterministic, batch-keyed result order. Batcher is the per-run facade
+// over it that PreparedJoin (and so GpuSelfJoin and gpu_join) uses.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +26,9 @@
 
 namespace sj {
 
-struct CellAdjacency;  // kernels.hpp
-struct JoinAdjacency;  // kernels.hpp
+struct CellAdjacency;   // kernels.hpp
+struct JoinAdjacency;   // kernels.hpp
+struct PipelineConfig;  // batch_pipeline.hpp
 
 struct BatchPlan {
   std::size_t num_batches = 0;
@@ -76,8 +77,8 @@ CellBatchPlan plan_cell_batches(const std::vector<std::uint64_t>& cell_weights,
 /// Size the per-stream result buffers within the device's free memory
 /// (keeping room for the per-batch query-id uploads and accounting for
 /// the pipeline's double-buffered slots), capped by `max_buffer_pairs`
-/// and by what one batch is expected to produce. Shared by the self-join,
-/// the query/data join and the async engine.
+/// and by what one batch is expected to produce. Shared by the self-join
+/// and the query/data join.
 std::uint64_t size_buffer_pairs(const gpu::GlobalMemoryArena& arena,
                                 std::uint64_t n_queries,
                                 std::uint64_t estimated_total,
@@ -154,39 +155,26 @@ class Batcher {
           int num_streams, int block_size, RetryPolicy retry = {});
 
   /// Execute the full self-join over all of `grid`'s points according to
-  /// `plan`, returning the complete result set. Result order is
-  /// deterministic (segments merged by batch key) regardless of the
-  /// stream count or scheduling.
-  ResultSet run(const GridDeviceView& grid, bool unicomp,
-                const BatchPlan& plan, AtomicWork* work, BatchRunStats* stats);
+  /// `plan`, materialising what `req` asks for (ResultRequest). Result
+  /// order is deterministic (segments emitted in batch-key order)
+  /// regardless of the stream count or scheduling.
+  PipelineOutput run(const ResultRequest& req, const GridDeviceView& grid,
+                     bool unicomp, const BatchPlan& plan, AtomicWork* work,
+                     BatchRunStats* stats);
 
   /// Cell-centric variant over a cell-major grid: batches are the plan's
   /// cell ranges, executed by the cell-centric kernel over the
   /// precomputed `adjacency` (nullable — launches then enumerate inline).
   /// Same exactness and determinism guarantees as run().
-  ResultSet run_cells(const GridDeviceView& grid, bool unicomp,
-                      const CellBatchPlan& plan,
-                      const CellAdjacency* adjacency, AtomicWork* work,
-                      BatchRunStats* stats);
-
-  /// Query/data-join variant over a cell-major data grid: batches are the
-  /// plan's query-group ranges (see build_join_adjacency). Same exactness
-  /// and determinism guarantees as run().
-  ResultSet run_join_groups(const GridDeviceView& grid,
-                            const CellBatchPlan& plan,
-                            const JoinAdjacency& adjacency, AtomicWork* work,
-                            BatchRunStats* stats);
-
-  /// Mode-aware variants (see ResultRequest); the ResultSet-returning
-  /// entry points above are the kPairs special case.
-  PipelineOutput run(const ResultRequest& req, const GridDeviceView& grid,
-                     bool unicomp, const BatchPlan& plan, AtomicWork* work,
-                     BatchRunStats* stats);
   PipelineOutput run_cells(const ResultRequest& req,
                            const GridDeviceView& grid, bool unicomp,
                            const CellBatchPlan& plan,
                            const CellAdjacency* adjacency, AtomicWork* work,
                            BatchRunStats* stats);
+
+  /// Query/data-join variant over a cell-major data grid: batches are the
+  /// plan's query-group ranges (see build_join_adjacency). Same exactness
+  /// and determinism guarantees as run().
   PipelineOutput run_join_groups(const ResultRequest& req,
                                  const GridDeviceView& grid,
                                  const CellBatchPlan& plan,
@@ -194,6 +182,10 @@ class Batcher {
                                  AtomicWork* work, BatchRunStats* stats);
 
  private:
+  /// The pipeline shape every run starts: num_streams workers, one
+  /// assembler.
+  PipelineConfig config() const;
+
   gpu::GlobalMemoryArena& arena_;
   gpu::DeviceSpec spec_;
   int num_streams_;

@@ -1,9 +1,9 @@
 // Adapter shims exposing the GPU engines through the unified backend
 // interface: "gpu" (GPU-SJ, Algorithm 1), "gpu_unicomp" (GPU-SJ with the
-// Section V-B duplicate-search removal), "gpu_async" (GPU-SJ with the
-// estimate/kernel/assembly stages overlapped on a stream pool),
-// "gpu_shard" (GPU-SJ partitioned across K simulated devices) and
-// "gpu_bf" (the Section VI-B brute-force kernel lower bound).
+// Section V-B duplicate-search removal) — both the single-device
+// PreparedJoin pipeline —, "gpu_shard" (GPU-SJ partitioned across K
+// simulated devices) and "gpu_bf" (the Section VI-B brute-force kernel
+// lower bound).
 #include "core/gpu_backend.hpp"
 
 #include <memory>
@@ -12,7 +12,6 @@
 #include "api/registry.hpp"
 #include "common/cancel.hpp"
 #include "common/fault.hpp"
-#include "core/async_self_join.hpp"
 #include "core/brute_force_gpu.hpp"
 #include "core/join.hpp"
 #include "core/knn.hpp"
@@ -87,9 +86,9 @@ void reject_threads(std::string_view backend, const api::RunConfig& config) {
 }
 
 /// The batching/estimation knobs every GPU join-shaped engine shares
-/// (GpuSelfJoinOptions, GpuJoinOptions, AsyncSelfJoinOptions all carry
-/// these members) — parsed in ONE place so validation cannot drift
-/// between the self-join, join and async adapters.
+/// (GpuSelfJoinOptions, GpuJoinOptions and ShardedSelfJoinOptions all
+/// carry these members) — parsed in ONE place so validation cannot drift
+/// between the self-join, join and shard adapters.
 template <typename Options>
 void apply_gpu_batch_knobs(const api::RunConfig& config, Options& opt) {
   opt.block_size = positive_int(config, "block_size", opt.block_size);
@@ -117,7 +116,7 @@ void apply_gpu_batch_knobs(const api::RunConfig& config, Options& opt) {
 }
 
 /// The normalised + native stats block shared by the GPU-SJ engines
-/// (sync and async run the same pipeline and report the same counters).
+/// (single-device and sharded report the same counters).
 api::JoinOutcome make_gpu_outcome(SelfJoinResult r) {
   api::JoinOutcome out;
   out.pairs = std::move(r.pairs);
@@ -288,54 +287,6 @@ class GpuBackend final : public api::SelfJoinBackend {
   bool unicomp_;
 };
 
-class GpuAsyncBackend final : public api::SelfJoinBackend {
- public:
-  std::string_view name() const override { return "gpu_async"; }
-  std::string_view description() const override {
-    return "GPU-SJ with estimate, batch kernels and host assembly "
-           "overlapped (work-queue batches on a stream pool, dedicated "
-           "assembly threads)";
-  }
-
-  api::Capabilities capabilities() const override { return {.gpu = true}; }
-
-  api::JoinOutcome run(const Dataset& d, double eps,
-                       const api::RunConfig& config) const override {
-    config.check_keys(name(),
-                      "block_size,min_batches,streams,num_streams,"
-                      "assembly_threads,sample_rate,safety,max_buffer_pairs,"
-                      "unicomp,layout,soa,faults,retries,backoff_ms,"
-                      "deadline_ms");
-    reject_threads(name(), config);
-    api::check_result_mode(name(), config, /*supports_sink=*/true);
-    AsyncSelfJoinOptions opt;
-    // Mirrors "gpu" (UNICOMP off) so the head-to-head bench and the
-    // parity suite compare like with like; unicomp=1 opts in.
-    opt.unicomp = config.flag("unicomp", false);
-    opt.layout = parse_layout(config);
-    opt.collect_metrics = config.collect_metrics;
-    opt.mode = config.mode;
-    opt.sink = config.sink;
-    opt.soa = config.flag("soa", true);
-    apply_gpu_batch_knobs(config, opt);
-    // "streams" is this backend's spelling; "num_streams" (the sibling
-    // gpu/gpu_unicomp knob, applied above) is accepted too so scripts
-    // can switch --algo without renaming options.
-    opt.num_streams = positive_int(config, "streams", opt.num_streams);
-    opt.assembly_threads =
-        positive_int(config, "assembly_threads", opt.assembly_threads);
-    exec::ExecControl ctl;
-    apply_deadline(config, opt, ctl);
-
-    auto out = make_gpu_outcome(AsyncGpuSelfJoin(opt).run(d, eps));
-    out.stats.native["streams"] = opt.num_streams;
-    out.stats.native["assembly_threads"] = opt.assembly_threads;
-    out.stats.native["layout_cell_major"] =
-        opt.layout == GridLayout::kCellMajor ? 1.0 : 0.0;
-    return out;
-  }
-};
-
 class GpuShardBackend final : public api::SelfJoinBackend {
  public:
   std::string_view name() const override { return "gpu_shard"; }
@@ -405,8 +356,8 @@ class GpuShardBackend final : public api::SelfJoinBackend {
  private:
   static constexpr std::string_view kShardKeys =
       "shards,schedule,chunklets,plan,plan_cache,streams,num_streams,"
-      "assembly_threads,unicomp,block_size,min_batches,sample_rate,safety,"
-      "max_buffer_pairs,layout,soa,faults,retries,backoff_ms";
+      "unicomp,block_size,min_batches,sample_rate,safety,max_buffer_pairs,"
+      "layout,soa,faults,retries,backoff_ms";
 
   static ShardedSelfJoinOptions parse_shard_options(
       const api::RunConfig& config) {
@@ -419,24 +370,20 @@ class GpuShardBackend final : public api::SelfJoinBackend {
     opt.layout = parse_layout(config);
     apply_gpu_batch_knobs(config, opt);
     opt.shards = positive_int(config, "shards", opt.shards);
-    // "streams" is the per-shard stream-pool spelling (as in gpu_async);
-    // "num_streams" is accepted too so scripts can switch --algo.
+    // "streams" is the per-shard stream-pool spelling; "num_streams"
+    // (gpu's spelling, applied above) is accepted too so scripts can
+    // switch --algo.
     opt.num_streams = positive_int(config, "streams", opt.num_streams);
-    opt.assembly_threads =
-        positive_int(config, "assembly_threads", opt.assembly_threads);
     const std::string schedule = config.text("schedule", "concurrent");
     if (schedule == "concurrent") {
       opt.schedule = ShardSchedule::kConcurrent;
-    } else if (schedule == "steal" || schedule == "serial") {
-      // "serial" is the legacy spelling of the virtual-time stealing
-      // drive, kept so existing scripts don't break.
-      opt.schedule = ShardSchedule::kSerial;
+    } else if (schedule == "steal") {
+      opt.schedule = ShardSchedule::kSteal;
     } else if (schedule == "static") {
       opt.schedule = ShardSchedule::kStatic;
     } else {
       throw std::invalid_argument(
-          "option 'schedule' must be 'concurrent', 'steal', or 'static' "
-          "('serial' is accepted as the legacy spelling of 'steal')");
+          "option 'schedule' must be 'concurrent', 'steal', or 'static'");
     }
     opt.chunklets = config.integer("chunklets", opt.chunklets);
     if (opt.chunklets < 0) {
@@ -549,7 +496,6 @@ void register_gpu(api::BackendRegistry& registry) {
       "gpu_unicomp",
       "GPU-SJ with the UNICOMP duplicate-search removal (Section V-B)",
       /*unicomp=*/true));
-  registry.add(std::make_unique<GpuAsyncBackend>());
   registry.add(std::make_unique<GpuShardBackend>());
   registry.add(std::make_unique<GpuBruteForceBackend>());
 }

@@ -1,18 +1,10 @@
 #include "core/join.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "common/parse.hpp"
 #include "common/timer.hpp"
-#include "core/batcher.hpp"
-#include "core/device_view.hpp"
-#include "core/estimator.hpp"
-#include "core/grid_index.hpp"
-#include "core/kernels.hpp"
-#include "gpusim/arena.hpp"
+#include "core/prepared.hpp"
 
 namespace sj {
 
@@ -28,98 +20,11 @@ GpuJoinResult gpu_join(const Dataset& queries, const Dataset& data,
   // Entry checkpoint: an already-expired or cancelled query must not pay
   // for the index build.
   if (opt.control != nullptr) opt.control->check("join entry");
-  GpuJoinResult result;
-  GpuJoinStats& st = result.stats;
   Timer total;
-
-  Timer phase;
-  GridIndex index(data, eps);
-  st.index_build_seconds = phase.seconds();
-  if (queries.empty() || data.empty()) {
-    if (opt.mode == ResultMode::kHistogram) {
-      result.histogram.assign(queries.size(), 0);
-    }
-    st.total_seconds = total.seconds();
-    return result;
-  }
-
-  gpu::GlobalMemoryArena arena(opt.device);
-  DeviceGrid dev(arena, data, index, opt.layout);
-
-  // Ship the query set to the device alongside the indexed data.
-  gpu::DeviceBuffer<double> qbuf(arena, queries.raw().size());
-  std::memcpy(qbuf.data(), queries.raw().data(),
-              queries.raw().size() * sizeof(double));
-  GridDeviceView grid = dev.view();
-  grid.qpoints = qbuf.data();
-  grid.qn = queries.size();
-  if (!opt.soa) {
-    for (int j = 0; j < grid.dim; ++j) grid.coord[j] = nullptr;
-  }
-
-  // Non-pairs modes (count/histogram) skip the estimator and every pair
-  // buffer; the batch count falls back to min_batches.
-  const bool pairs_path =
-      opt.mode == ResultMode::kPairs || opt.mode == ResultMode::kSink;
-  EstimateResult est;
-  if (pairs_path) {
-    est = estimate_result_size(grid, /*unicomp=*/false, opt.sample_rate,
-                               opt.block_size);
-    st.estimated_total = est.estimated_total;
-  }
-
-  ResultRequest req;
-  req.mode = opt.mode;
-  req.sink = opt.sink;
-  req.histogram_keys = queries.size();
-  req.control = opt.control;
-
-  AtomicWork work;
-  Batcher batcher(arena, opt.device, opt.num_streams, opt.block_size,
-                  opt.retry);
-  PipelineOutput out;
-  if (opt.layout == GridLayout::kCellMajor) {
-    // Group the queries by their data-grid home cell and resolve each
-    // group's candidate ranges ONCE; built before buffer sizing so its
-    // device memory is accounted for. Batches upload 12-byte work items
-    // instead of 4-byte query ids; triple the reservation proxy.
-    const JoinAdjacency adjacency = build_join_adjacency(arena, grid);
-    st.query_groups = adjacency.num_groups();
-
-    const std::uint64_t buffer_pairs =
-        pairs_path ? size_buffer_pairs(arena, queries.size() * 3,
-                                       est.estimated_total, opt.min_batches,
-                                       opt.num_streams, opt.max_buffer_pairs,
-                                       opt.safety)
-                   : 1;
-    const CellBatchPlan plan =
-        plan_cell_batches(adjacency.weights, est.estimated_total,
-                          opt.min_batches, buffer_pairs, opt.safety);
-    out = batcher.run_join_groups(req, grid, plan, adjacency, &work,
-                                  &st.batch);
-    work.add_to(st.metrics);
-    // The adjacency build carries the index-search work (resolved once
-    // per query group rather than once per query).
-    st.metrics.cells_examined += adjacency.cells_examined;
-    st.metrics.cells_nonempty += adjacency.cells_nonempty;
-  } else {
-    const std::uint64_t buffer_pairs =
-        pairs_path ? size_buffer_pairs(arena, queries.size(),
-                                       est.estimated_total, opt.min_batches,
-                                       opt.num_streams, opt.max_buffer_pairs,
-                                       opt.safety)
-                   : 1;
-    const BatchPlan plan = plan_batches(est.estimated_total, queries.size(),
-                                        opt.min_batches, buffer_pairs,
-                                        opt.safety);
-    out = batcher.run(req, grid, /*unicomp=*/false, plan, &work, &st.batch);
-    work.add_to(st.metrics);
-  }
-  result.pairs = std::move(out.pairs);
-  result.total_pairs = out.total_pairs;
-  result.histogram = std::move(out.histogram);
-  st.metrics.kernel_seconds = st.batch.kernel_seconds;
-  st.total_seconds = total.seconds();
+  const PreparedJoin image(data, eps, opt.device, opt.layout);
+  GpuJoinResult result = image.run(queries, opt);
+  result.stats.index_build_seconds = image.index_build_seconds();
+  result.stats.total_seconds = total.seconds();
   return result;
 }
 

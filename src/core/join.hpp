@@ -70,7 +70,8 @@ struct GpuJoinResult {
 };
 
 /// Epsilon join: every (a, b) with a in A, b in B, dist(a, b) <= eps.
-/// Both datasets must share the same dimensionality.
+/// Both datasets must share the same dimensionality. Stages a one-shot
+/// PreparedJoin (core/prepared.hpp) over `data` and runs it once.
 GpuJoinResult gpu_join(const Dataset& queries, const Dataset& data,
                        double eps, GpuJoinOptions opt = {});
 

@@ -147,7 +147,7 @@ CellAdjacencyHost build_cell_adjacency_span(const GridDeviceView& grid,
                                             std::uint32_t cell_begin,
                                             std::uint32_t cell_end);
 
-/// The single-device form the gpu/gpu_unicomp/gpu_async engines consume:
+/// The single-device form PreparedJoin (gpu/gpu_unicomp) consumes:
 /// the spans of build_cell_adjacency_host, each copied straight into the
 /// `arena`'s ranges/offsets buffers and released once copied; no
 /// concatenated host CSR is ever built.

@@ -1,9 +1,9 @@
-// The amortisation unit of the always-on service (api/session.hpp):
-// a dataset's grid index and cell-major device image, staged ONCE and
-// reused across many queries. Every sjtool one-shot run pays the index
-// build + upload per invocation; a PreparedJoin pays it per lifetime —
-// the gap the ROADMAP's always-on-service item named between a
-// benchmark harness and a system serving query traffic.
+// The single-device staging path: a dataset's grid index and device
+// image, staged ONCE, with the result-size estimate, the adjacency, the
+// batch plan and the batched pipeline run per call (paper Sections
+// IV-V). GpuSelfJoin::run and gpu_join() build one per call; the
+// always-on service (api/session.hpp) keeps one alive and amortises the
+// index build + upload across its whole query traffic.
 //
 // Thread safety: after construction, run()/self_join() may be called
 // concurrently from many threads. The shared arena's allocation is
@@ -28,18 +28,20 @@ namespace sj {
 class PreparedJoin {
  public:
   /// Build the data-side image: host grid index (radix-sort binning) +
-  /// cell-major device staging. `data` is referenced, not copied, and
-  /// must outlive the PreparedJoin. Only the cell-major layout is
-  /// supported — it is what the grouped join and the cell-centric
-  /// self-join consume.
+  /// device staging in `layout`. `data` is referenced, not copied, and
+  /// must outlive the PreparedJoin. kCellMajor (the default) feeds the
+  /// cell-centric self-join and the grouped join; kLegacy keeps the
+  /// paper's point-centric kernels over the original point order.
   PreparedJoin(const Dataset& data, double eps,
-               const gpu::DeviceSpec& device = gpu::DeviceSpec::titan_x_pascal());
+               const gpu::DeviceSpec& device = gpu::DeviceSpec::titan_x_pascal(),
+               GridLayout layout = GridLayout::kCellMajor);
 
   /// Restore path: adopt an already-validated index (snapshot restore,
   /// core/snapshot.hpp) instead of rebuilding it. The index must have
   /// been built over `data`.
   PreparedJoin(const Dataset& data, GridIndex index,
-               const gpu::DeviceSpec& device = gpu::DeviceSpec::titan_x_pascal());
+               const gpu::DeviceSpec& device = gpu::DeviceSpec::titan_x_pascal(),
+               GridLayout layout = GridLayout::kCellMajor);
 
   const Dataset& data() const { return *data_; }
   const GridIndex& index() const { return index_; }
@@ -50,17 +52,18 @@ class PreparedJoin {
   double upload_seconds() const { return upload_seconds_; }
 
   /// Join `queries` against the prepared data grid: the per-call work is
-  /// query upload + per-group adjacency + the batched pipeline; the
-  /// index and data staging are amortised. Same semantics and output as
-  /// gpu_join() with the cell-major layout. opt.layout/device are
-  /// ignored (fixed at construction).
+  /// query upload + estimate + (cell-major) per-group adjacency + the
+  /// batched pipeline; the index and data staging are amortised.
+  /// opt.layout/device are ignored (fixed at construction).
   GpuJoinResult run(const Dataset& queries, const GpuJoinOptions& opt) const;
 
-  /// Self-join over the prepared grid at the index's eps. The cell
-  /// adjacency and the result-size estimate are resolved once per
-  /// unicomp flag and cached across calls (the estimate uses the FIRST
-  /// caller's sample_rate/block_size; the session issues uniform
-  /// options). Same output as GpuSelfJoin::run on the cell-major layout.
+  /// Self-join over the prepared grid at the index's eps. The
+  /// result-size estimate and (cell-major) the cell adjacency are
+  /// resolved once per unicomp flag and cached across calls (the
+  /// estimate uses the FIRST caller's sample_rate/block_size; the
+  /// session issues uniform options); the call that builds the
+  /// adjacency reports its seconds and index-search counters.
+  /// opt.layout/device are ignored (fixed at construction).
   SelfJoinResult self_join(const GpuSelfJoinOptions& opt) const;
 
  private:
@@ -73,6 +76,7 @@ class PreparedJoin {
   const Dataset* data_;
   GridIndex index_;
   gpu::DeviceSpec device_;
+  GridLayout layout_;
   mutable gpu::GlobalMemoryArena arena_;
   std::unique_ptr<DeviceGrid> dev_;
   double index_build_seconds_ = 0.0;

@@ -1,15 +1,11 @@
 #include "core/self_join.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "common/timer.hpp"
-#include "core/device_view.hpp"
-#include "core/estimator.hpp"
-#include "core/grid_index.hpp"
 #include "core/kernels.hpp"
-#include "gpusim/arena.hpp"
+#include "core/prepared.hpp"
 #include "gpusim/cachesim.hpp"
 #include "gpusim/kernel.hpp"
 #include "gpusim/occupancy.hpp"
@@ -37,111 +33,12 @@ SelfJoinResult GpuSelfJoin::run(const Dataset& d, double eps) const {
   // Entry checkpoint: a query that arrives already expired or cancelled
   // must not pay for the index build.
   if (opt_.control != nullptr) opt_.control->check("self-join entry");
-  SelfJoinResult result;
-  SelfJoinStats& st = result.stats;
   Timer total;
-
-  // --- Host-side index construction (cheap relative to tree indexes).
-  Timer phase;
-  GridIndex index(d, eps);
-  st.index_build_seconds = phase.seconds();
-  st.grid_nonempty_cells = index.num_nonempty_cells();
-  st.grid_total_cells = index.total_cells();
-
-  if (d.empty()) {
-    st.total_seconds = total.seconds();
-    return result;
-  }
-
-  // --- Upload dataset + index to the (simulated) device.
-  gpu::GlobalMemoryArena arena(opt_.device);
-  phase.reset();
-  DeviceGrid dev(arena, d, index, opt_.layout);
-  st.upload_seconds = phase.seconds();
-  GridDeviceView grid = dev.view();
-  if (!opt_.soa) {
-    // AoS ablation: drop the SoA planes from the kernels' view.
-    for (int j = 0; j < grid.dim; ++j) grid.coord[j] = nullptr;
-  }
-
-  // Count-only and histogram runs materialise no pairs, so neither the
-  // result-size estimator nor any pair buffer is needed — the batch count
-  // falls back to min_batches.
-  const bool pairs_path = opt_.mode == ResultMode::kPairs ||
-                          opt_.mode == ResultMode::kSink;
-
-  // --- Estimate total result size from a sample (count-only kernel).
-  EstimateResult est;
-  if (pairs_path) {
-    phase.reset();
-    est = estimate_result_size(grid, opt_.unicomp, opt_.sample_rate,
-                               opt_.block_size);
-    st.estimate_seconds = phase.seconds();
-    st.estimated_total = est.estimated_total;
-  }
-
-  // --- Cell mode: resolve every cell's adjacency ONCE (shared by the
-  // batch planner and all kernel launches, including overflow retries).
-  // Built before buffer sizing so its device memory is accounted for.
-  CellAdjacency adjacency;
-  if (opt_.layout == GridLayout::kCellMajor) {
-    phase.reset();
-    adjacency = build_cell_adjacency(arena, grid, opt_.unicomp);
-    st.adjacency_seconds = phase.seconds();
-  }
-
-  // --- Size the per-stream buffers within the device's free memory.
-  // Cell-mode batches upload 12-byte work items instead of 4-byte query
-  // ids; triple the reservation proxy so the uploads always fit.
-  std::uint64_t buffer_pairs = 1;
-  if (pairs_path) {
-    const std::uint64_t upload_units =
-        grid.cell_major ? d.size() * 3 : d.size();
-    buffer_pairs = size_buffer_pairs(
-        arena, upload_units, est.estimated_total, opt_.min_batches,
-        opt_.num_streams, opt_.max_buffer_pairs, opt_.safety);
-  }
-
-  ResultRequest req;
-  req.mode = opt_.mode;
-  req.sink = opt_.sink;
-  req.histogram_keys = d.size();
-  req.control = opt_.control;
-
-  // --- Batched, stream-pipelined join.
-  AtomicWork work;
-  phase.reset();
-  Batcher batcher(arena, opt_.device, opt_.num_streams, opt_.block_size,
-                  opt_.retry);
-  PipelineOutput out;
-  if (opt_.layout == GridLayout::kCellMajor) {
-    // Per-cell work estimates -> weighted contiguous cell batches.
-    const CellBatchPlan plan =
-        plan_cell_batches(adjacency.weights, est.estimated_total,
-                          opt_.min_batches, buffer_pairs, opt_.safety);
-    out = batcher.run_cells(req, grid, opt_.unicomp, plan, &adjacency,
-                            &work, &st.batch);
-  } else {
-    const BatchPlan plan = plan_batches(est.estimated_total, d.size(),
-                                        opt_.min_batches, buffer_pairs,
-                                        opt_.safety);
-    out = batcher.run(req, grid, opt_.unicomp, plan, &work, &st.batch);
-  }
-  result.pairs = std::move(out.pairs);
-  result.total_pairs = out.total_pairs;
-  result.histogram = std::move(out.histogram);
-  st.join_seconds = phase.seconds();
-
-  work.add_to(st.metrics);
-  // The adjacency build carries the cell-mode index-search work (resolved
-  // once per cell rather than once per point).
-  st.metrics.cells_examined += adjacency.cells_examined;
-  st.metrics.cells_nonempty += adjacency.cells_nonempty;
-  st.metrics.kernel_seconds = st.batch.kernel_seconds;
-
-  collect_gpu_stats(grid, opt_, st);
-
-  st.total_seconds = total.seconds();
+  const PreparedJoin image(d, eps, opt_.device, opt_.layout);
+  SelfJoinResult result = image.self_join(opt_);
+  result.stats.index_build_seconds = image.index_build_seconds();
+  result.stats.upload_seconds = image.upload_seconds();
+  result.stats.total_seconds = total.seconds();
   return result;
 }
 

@@ -120,7 +120,9 @@ class GpuSelfJoin {
  public:
   explicit GpuSelfJoin(GpuSelfJoinOptions opt = {});
 
-  /// Compute the full self-join of `d` with distance threshold eps >= 0.
+  /// Compute the full self-join of `d` with distance threshold eps >= 0:
+  /// stages a one-shot PreparedJoin (core/prepared.hpp) in opt.layout and
+  /// runs its self_join once.
   SelfJoinResult run(const Dataset& d, double eps) const;
 
   const GpuSelfJoinOptions& options() const { return opt_; }
@@ -130,7 +132,8 @@ class GpuSelfJoin {
 };
 
 /// Shared tail of the GPU engines' runs: the occupancy model plus the
-/// optional serial metrics pass. Used by GpuSelfJoin and AsyncGpuSelfJoin.
+/// optional serial metrics pass. Used by PreparedJoin::self_join (and so
+/// GpuSelfJoin) and the shard engine.
 void collect_gpu_stats(const GridDeviceView& grid,
                        const GpuSelfJoinOptions& opt, SelfJoinStats& st);
 

@@ -46,9 +46,6 @@ void validate_shard_options(const ShardedSelfJoinOptions& opt,
   if (opt.num_streams <= 0) {
     throw std::invalid_argument(name + ": num_streams must be positive");
   }
-  if (opt.assembly_threads <= 0) {
-    throw std::invalid_argument(name + ": assembly_threads must be positive");
-  }
   if (opt.sample_rate <= 0.0 || opt.sample_rate > 1.0) {
     throw std::invalid_argument(name + ": sample_rate must be in (0, 1]");
   }
@@ -384,7 +381,6 @@ void rearm_device(DeviceCtx& ctx, int device,
   ctx.arena = std::make_unique<gpu::GlobalMemoryArena>(opt.device);
   PipelineConfig config;
   config.streams = opt.num_streams;
-  config.assembly_threads = opt.assembly_threads;
   config.block_size = opt.block_size;
   config.retry = opt.retry;
   config.device_id = device;

@@ -183,9 +183,7 @@ INSTANTIATE_TEST_SUITE_P(
     GpuEngines, LayoutParity,
     ::testing::Values(
         LayoutCase{"gpu", {}, "gpu"},
-        LayoutCase{"gpu_unicomp", {}, "gpu_unicomp"},
-        LayoutCase{"gpu_async", {}, "gpu_async"},
-        LayoutCase{"gpu_async", {{"unicomp", "1"}}, "gpu_async_unicomp"}),
+        LayoutCase{"gpu_unicomp", {}, "gpu_unicomp"}),
     [](const auto& info) { return info.param.label; });
 
 }  // namespace

@@ -489,7 +489,7 @@ TEST(AdjacencySeconds, ReportedOnA6DJoinWithinTotal) {
   EXPECT_GT(r.stats.adjacency_seconds, 0.0);
   EXPECT_LE(r.stats.adjacency_seconds, r.stats.total_seconds);
 
-  for (const char* name : {"gpu_unicomp", "gpu_async", "gpu_shard"}) {
+  for (const char* name : {"gpu", "gpu_unicomp", "gpu_shard"}) {
     const auto out = api::BackendRegistry::instance().at(name).run(d, eps);
     const double s = out.stats.native.at("adjacency_seconds");
     EXPECT_GT(s, 0.0) << name;

@@ -1,11 +1,11 @@
-// gpu_async / BatchPipeline: parity on skewed data, raw-output
-// determinism across configs and runs, overflow-split feedback without
-// barriers, fatal-overflow behaviour, and the registry adapter's knobs.
-#include "core/async_self_join.hpp"
-
+// The asynchronous batch pipeline (core/batch_pipeline.hpp) as
+// GpuSelfJoin runs it: parity on skewed data, raw-output determinism
+// across stream counts and runs, overflow-split feedback without
+// barriers, fatal-overflow behaviour, and the registry's knobs.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "api/registry.hpp"
 #include "bruteforce/brute_force.hpp"
@@ -20,13 +20,14 @@
 namespace sj {
 namespace {
 
-AsyncSelfJoinOptions async_opts(int streams, int assembly) {
-  AsyncSelfJoinOptions opt;
+GpuSelfJoinOptions pipeline_opts(int streams) {
+  GpuSelfJoinOptions opt;
   opt.unicomp = false;  // mirror the "gpu" backend
   opt.num_streams = streams;
-  opt.assembly_threads = assembly;
   return opt;
 }
+
+constexpr int kStreamSweep[] = {1, 2, 3, 4};
 
 TEST(AsyncPipeline, ParityWithBruteOnSkewedClusteredData) {
   struct Case {
@@ -41,107 +42,133 @@ TEST(AsyncPipeline, ParityWithBruteOnSkewedClusteredData) {
   };
   for (const auto& c : cases) {
     const auto want = brute::self_join(c.data, 1.0);
-    auto got = AsyncGpuSelfJoin(async_opts(3, 2)).run(c.data, 1.0);
+    auto got = GpuSelfJoin(pipeline_opts(3)).run(c.data, 1.0);
     EXPECT_TRUE(ResultSet::equal_normalized(got.pairs, want.pairs)) << c.name;
   }
 }
 
+// The registry's "gpu" adapter runs the same pipeline: its raw output is
+// the single-stream GpuSelfJoin's, byte for byte.
 TEST(AsyncPipeline, IdenticalSortedPairSetAsGpuBackend) {
   const auto d = datagen::ippp(1200, 2, 16.0, 5);
   const auto& registry = api::BackendRegistry::instance();
   for (double eps : {0.25, 1.0, 4.0}) {
     auto gpu = registry.at("gpu").run(d, eps).pairs;
-    auto async = registry.at("gpu_async").run(d, eps).pairs;
-    gpu.normalize();
-    async.normalize();
-    EXPECT_TRUE(ResultSet::equal_normalized(gpu, async)) << "eps=" << eps;
-    EXPECT_EQ(gpu.pairs(), async.pairs()) << "eps=" << eps;
+    auto serial = GpuSelfJoin(pipeline_opts(1)).run(d, eps).pairs;
+    if (fault::enabled()) {
+      // Injected resource exhaustion splits batches differently per run.
+      gpu.normalize();
+      serial.normalize();
+    }
+    EXPECT_EQ(gpu.pairs(), serial.pairs()) << "eps=" << eps;
+    const auto want = brute::self_join(d, eps).pairs;
+    EXPECT_TRUE(ResultSet::equal_normalized(gpu, want)) << "eps=" << eps;
   }
 }
 
-// streams=1 / assembly_threads=1 must degenerate to the serial result —
-// and because assembly merges by batch key, every other configuration
-// must produce the same RAW pair order too (given an identical plan,
-// pinned here via max_buffer_pairs).
+// One stream is the serial schedule — and because assembly emits by
+// batch key, every other stream count must produce the same RAW pair
+// order too (given an identical plan, pinned here via max_buffer_pairs).
 TEST(AsyncPipeline, ConfigSweepDegeneratesToSerialRawOutput) {
   const auto d = datagen::ippp(1200, 2, 24.0, 11);
   const double eps = 1.5;
-
-  GpuSelfJoinOptions serial_opt;
-  serial_opt.unicomp = false;
-  serial_opt.num_streams = 1;
-  serial_opt.max_buffer_pairs = 2048;
-  serial_opt.min_batches = 5;
-  const auto serial = GpuSelfJoin(serial_opt).run(d, eps);
-
-  for (int streams : {1, 2, 4}) {
-    for (int assembly : {1, 2, 4}) {
-      auto opt = async_opts(streams, assembly);
-      opt.max_buffer_pairs = 2048;
-      opt.min_batches = 5;
-      const auto got = AsyncGpuSelfJoin(opt).run(d, eps);
+  for (const GridLayout layout : {GridLayout::kCellMajor, GridLayout::kLegacy}) {
+    auto serial_opt = pipeline_opts(1);
+    serial_opt.layout = layout;
+    serial_opt.max_buffer_pairs = 2048;
+    serial_opt.min_batches = 5;
+    const auto serial = GpuSelfJoin(serial_opt).run(d, eps);
+    for (const int streams : kStreamSweep) {
+      auto opt = serial_opt;
+      opt.num_streams = streams;
+      const auto got = GpuSelfJoin(opt).run(d, eps);
       EXPECT_EQ(got.pairs.pairs(), serial.pairs.pairs())
-          << streams << " streams, " << assembly << " assembly threads";
+          << streams << " streams, layout "
+          << (layout == GridLayout::kCellMajor ? "cell" : "legacy");
     }
   }
 }
 
 TEST(AsyncPipeline, DeterministicAcrossRunsUnderOverflowStress) {
   const auto d = datagen::ippp(1500, 2, 32.0, 23);
-  auto opt = async_opts(4, 3);
-  opt.max_buffer_pairs = 64;  // force overflow splits
-  opt.safety = 0.01;          // sabotage the estimate too
-  auto first = AsyncGpuSelfJoin(opt).run(d, 1.0);
-  auto second = AsyncGpuSelfJoin(opt).run(d, 1.0);
-  EXPECT_GT(first.stats.batch.overflow_retries, 0u);
-  if (fault::enabled()) {
-    // Under the SJ_FAULTS chaos sweep the two runs see different fault
-    // placements (draw counters advance across runs), so split patterns
-    // and raw segment order differ; compare the normalized content.
-    first.pairs.normalize();
-    second.pairs.normalize();
-  }
-  EXPECT_EQ(first.pairs.pairs(), second.pairs.pairs());
-
   const auto want = brute::self_join(d, 1.0);
-  EXPECT_TRUE(ResultSet::equal_normalized(first.pairs, want.pairs));
+  ResultSet reference;
+  for (const int streams : kStreamSweep) {
+    auto opt = pipeline_opts(streams);
+    opt.max_buffer_pairs = 64;  // force overflow splits
+    opt.safety = 0.01;          // sabotage the estimate too
+    auto first = GpuSelfJoin(opt).run(d, 1.0);
+    auto second = GpuSelfJoin(opt).run(d, 1.0);
+    EXPECT_GT(first.stats.batch.overflow_retries, 0u) << streams;
+    if (fault::enabled()) {
+      // Under the SJ_FAULTS chaos sweep the runs see different fault
+      // placements (draw counters advance across runs), so split
+      // patterns and raw segment order differ; compare the normalized
+      // content.
+      first.pairs.normalize();
+      second.pairs.normalize();
+    }
+    EXPECT_EQ(first.pairs.pairs(), second.pairs.pairs()) << streams;
+    if (streams == kStreamSweep[0]) {
+      reference = first.pairs;
+    } else {
+      EXPECT_EQ(first.pairs.pairs(), reference.pairs()) << streams;
+    }
+    EXPECT_TRUE(ResultSet::equal_normalized(first.pairs, want.pairs))
+        << streams;
+  }
 }
 
 TEST(AsyncPipeline, TinyBuffersStayExactOnSkewedData) {
   const auto d = datagen::ippp(1200, 2, 48.0, 31);
-  auto opt = async_opts(3, 2);
-  opt.max_buffer_pairs = 64;
-  opt.safety = 0.01;
-  const auto got = AsyncGpuSelfJoin(opt).run(d, 2.0);
   const auto want = brute::self_join(d, 2.0);
-  EXPECT_TRUE(ResultSet::equal_normalized(got.pairs, want.pairs));
+  for (const int streams : kStreamSweep) {
+    auto opt = pipeline_opts(streams);
+    opt.max_buffer_pairs = 64;
+    opt.safety = 0.01;
+    const auto got = GpuSelfJoin(opt).run(d, 2.0);
+    EXPECT_TRUE(ResultSet::equal_normalized(got.pairs, want.pairs))
+        << streams << " streams";
+  }
 }
 
 TEST(AsyncPipeline, EmptyAndSinglePointDatasets) {
-  EXPECT_TRUE(AsyncGpuSelfJoin(async_opts(2, 2))
-                  .run(Dataset(2), 1.0)
-                  .pairs.empty());
-  Dataset one(3, {1.0, 2.0, 3.0});
-  auto got = AsyncGpuSelfJoin(async_opts(2, 2)).run(one, 0.5);
-  ASSERT_EQ(got.pairs.size(), 1u);
-  EXPECT_EQ(got.pairs.pairs()[0], (Pair{0, 0}));
+  for (const int streams : kStreamSweep) {
+    EXPECT_TRUE(GpuSelfJoin(pipeline_opts(streams))
+                    .run(Dataset(2), 1.0)
+                    .pairs.empty());
+    Dataset one(3, {1.0, 2.0, 3.0});
+    auto got = GpuSelfJoin(pipeline_opts(streams)).run(one, 0.5);
+    ASSERT_EQ(got.pairs.size(), 1u);
+    EXPECT_EQ(got.pairs.pairs()[0], (Pair{0, 0}));
+  }
 }
 
 TEST(AsyncPipeline, AssemblyStatsArePopulated) {
   const auto d = datagen::uniform(2000, 2, 0.0, 100.0, 41);
-  const auto r = AsyncGpuSelfJoin(async_opts(3, 2)).run(d, 2.0);
-  EXPECT_GE(r.stats.batch.batches_run, 3u);  // paper minimum
-  EXPECT_EQ(r.stats.batch.bytes_to_host, r.pairs.size() * sizeof(Pair));
-  EXPECT_GT(r.stats.batch.modeled_transfer_seconds, 0.0);
+  for (const int streams : kStreamSweep) {
+    const auto r = GpuSelfJoin(pipeline_opts(streams)).run(d, 2.0);
+    EXPECT_GE(r.stats.batch.batches_run, 3u);  // paper minimum
+    EXPECT_EQ(r.stats.batch.bytes_to_host, r.pairs.size() * sizeof(Pair));
+    EXPECT_GT(r.stats.batch.modeled_transfer_seconds, 0.0);
+    EXPECT_GT(r.stats.batch.assembly_seconds, 0.0);
+  }
 }
 
 TEST(AsyncPipeline, RejectsBadOptions) {
-  EXPECT_THROW(AsyncGpuSelfJoin(async_opts(0, 1)), std::invalid_argument);
-  EXPECT_THROW(AsyncGpuSelfJoin(async_opts(1, 0)), std::invalid_argument);
+  EXPECT_THROW(GpuSelfJoin(pipeline_opts(0)), std::invalid_argument);
+  auto bad_block = pipeline_opts(1);
+  bad_block.block_size = 0;
+  EXPECT_THROW(GpuSelfJoin{bad_block}, std::invalid_argument);
+  PipelineConfig config;
+  config.streams = 0;
+  gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
+  EXPECT_THROW(BatchPipeline(arena, gpu::DeviceSpec::titan_x_pascal(), config),
+               std::invalid_argument);
 }
 
-// --- Direct BatchPipeline coverage (the machinery both gpu and
-// gpu_async run on).
+// --- Direct BatchPipeline coverage (the machinery GpuSelfJoin, gpu_join
+// and the shard engine run on).
 
 // Isolated points: every point's only neighbour is itself.
 Dataset isolated_points(std::size_t n, double spacing) {
@@ -170,11 +197,13 @@ TEST(BatchPipelineDirect, OnePairBufferRecoversViaSplitsExactly) {
 
   PipelineConfig config;
   config.streams = 3;
-  config.assembly_threads = 2;
   BatchPipeline pipeline(arena, gpu::DeviceSpec::titan_x_pascal(), config);
   AtomicWork work;
   BatchRunStats stats;
-  auto got = pipeline.run(dev.view(), /*unicomp=*/false, plan, &work, &stats);
+  auto got = pipeline
+                 .run(ResultRequest{}, dev.view(), /*unicomp=*/false, plan,
+                      &work, &stats)
+                 .pairs;
 
   EXPECT_GT(stats.overflow_retries, 0u);
   got.normalize();
@@ -202,48 +231,26 @@ TEST(BatchPipelineDirect, FatalOverflowOnlyOnUnsplittableSinglePoint) {
   BatchPipeline pipeline(arena, gpu::DeviceSpec::titan_x_pascal(), config);
   AtomicWork work;
   EXPECT_THROW(
-      pipeline.run(dev.view(), false, plan, &work, nullptr),
+      pipeline.run(ResultRequest{}, dev.view(), false, plan, &work, nullptr),
       gpu::DeviceOutOfMemory);
 }
 
+// The overlapped engine is gone with its assembly-worker knob: every
+// GPU self-join runs the one single-device pipeline (one assembler), and
+// the knob is an unknown key on the engines that remain.
 TEST(GpuAsyncBackend, RegistryKnobsAndValidation) {
   const auto& registry = api::BackendRegistry::instance();
-  const api::SelfJoinBackend* backend = registry.find("gpu_async");
-  ASSERT_NE(backend, nullptr);
-  EXPECT_TRUE(backend->capabilities().gpu);
+  for (const std::string& name : registry.names()) {
+    EXPECT_EQ(name.find("async"), std::string::npos) << name;
+  }
 
   const auto d = datagen::uniform(300, 2, 0.0, 50.0, 55);
-
-  api::RunConfig ok;
-  ok.extra = {{"streams", "2"}, {"assembly_threads", "3"}, {"unicomp", "1"}};
-  const auto outcome = backend->run(d, 1.0, ok);
-  EXPECT_EQ(outcome.stats.native_value("streams"), 2.0);
-  EXPECT_EQ(outcome.stats.native_value("assembly_threads"), 3.0);
-  auto want = registry.at("gpu").run(d, 1.0).pairs;
-  auto got = outcome.pairs;
-  EXPECT_TRUE(ResultSet::equal_normalized(got, want));
-
-  api::RunConfig junk;
-  junk.extra = {{"streams", "2x"}};
-  EXPECT_THROW(backend->run(d, 1.0, junk), std::invalid_argument);
-
-  api::RunConfig zero;
-  zero.extra = {{"assembly_threads", "0"}};
-  EXPECT_THROW(backend->run(d, 1.0, zero), std::invalid_argument);
-
-  // gpu's spelling of the stream knob is accepted as an alias, so
-  // switching --algo does not require renaming options.
-  api::RunConfig alias;
-  alias.extra = {{"num_streams", "2"}};
-  EXPECT_EQ(backend->run(d, 1.0, alias).stats.native_value("streams"), 2.0);
-
-  api::RunConfig unknown;
-  unknown.extra = {{"bogus_knob", "2"}};
-  EXPECT_THROW(backend->run(d, 1.0, unknown), std::invalid_argument);
-
-  api::RunConfig threads;
-  threads.threads = 4;
-  EXPECT_THROW(backend->run(d, 1.0, threads), std::invalid_argument);
+  for (const char* name : {"gpu", "gpu_unicomp", "gpu_shard"}) {
+    api::RunConfig config;
+    config.extra = {{"assembly_threads", "2"}};
+    EXPECT_THROW(registry.at(name).run(d, 1.0, config), std::invalid_argument)
+        << name;
+  }
 }
 
 }  // namespace

@@ -175,7 +175,9 @@ TEST(Batching, ZeroEstimateWithOnePairBufferStaysExact) {
   Batcher batcher(arena, opt.device, opt.num_streams, opt.block_size);
   AtomicWork work;
   BatchRunStats stats;
-  auto got = batcher.run(dev.view(), false, plan, &work, &stats);
+  auto got =
+      batcher.run(ResultRequest{}, dev.view(), false, plan, &work, &stats)
+          .pairs;
 
   EXPECT_GT(stats.overflow_retries, 0u);
   EXPECT_TRUE(ResultSet::equal_normalized(got, want.pairs));
@@ -201,8 +203,9 @@ TEST(Batching, FatalOverflowRequiresUnsplittableSinglePoint) {
   const BatchPlan plan = plan_batches(0, d.size(), opt.min_batches, 1,
                                       opt.safety);
   AtomicWork work;
-  EXPECT_THROW(batcher.run(dev.view(), false, plan, &work, nullptr),
-               gpu::DeviceOutOfMemory);
+  EXPECT_THROW(
+      batcher.run(ResultRequest{}, dev.view(), false, plan, &work, nullptr),
+      gpu::DeviceOutOfMemory);
 }
 
 TEST(Batching, BatchResultsArriveSortedPerBatch) {

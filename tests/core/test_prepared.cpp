@@ -62,6 +62,52 @@ TEST(PreparedJoin, SelfJoinMatchesOneShotAcrossRepeatedCalls) {
   EXPECT_EQ(plain_oneshot.pairs.pairs(), plain_warm.pairs.pairs());
 }
 
+// The call that builds the cached adjacency reports its index-search
+// counters, exactly as the one-shot engine does; a reusing call reports
+// none (like adjacency_seconds).
+TEST(PreparedJoin, FirstSelfJoinReportsAdjacencyCountersLikeGpuSelfJoin) {
+  const auto data = datagen::uniform(1500, 3, 0.0, 30.0, 27);
+  const double eps = 1.5;
+  const SelfJoinResult oneshot = GpuSelfJoin().run(data, eps);
+  ASSERT_GT(oneshot.stats.metrics.cells_examined, 0u);
+
+  PreparedJoin prepared(data, eps);
+  const SelfJoinResult first = prepared.self_join({});
+  EXPECT_EQ(first.stats.metrics.cells_examined,
+            oneshot.stats.metrics.cells_examined);
+  EXPECT_EQ(first.stats.metrics.cells_nonempty,
+            oneshot.stats.metrics.cells_nonempty);
+  const SelfJoinResult again = prepared.self_join({});
+  EXPECT_EQ(again.stats.metrics.cells_examined, 0u);
+  EXPECT_EQ(again.stats.adjacency_seconds, 0.0);
+}
+
+// The legacy layout is staged at construction too: the point-centric
+// self-join and join answer byte-identically to the one-shot engines.
+TEST(PreparedJoin, LegacyLayoutMatchesOneShotEnginesRaw) {
+  const auto data = datagen::gaussian_mixture(900, 2, 5, 5.0, 0.0, 80.0, 37);
+  const auto queries = datagen::uniform(300, 2, 0.0, 80.0, 38);
+  const double eps = 1.8;
+  GpuSelfJoinOptions self_opt;
+  self_opt.layout = GridLayout::kLegacy;
+  GpuJoinOptions join_opt;
+  join_opt.layout = GridLayout::kLegacy;
+  const auto self_oneshot = GpuSelfJoin(self_opt).run(data, eps);
+  const auto join_oneshot = gpu_join(queries, data, eps, join_opt);
+
+  PreparedJoin prepared(data, eps, gpu::DeviceSpec::titan_x_pascal(),
+                        GridLayout::kLegacy);
+  for (int rep = 0; rep < 2; ++rep) {
+    EXPECT_EQ(prepared.self_join(self_opt).pairs.pairs(),
+              self_oneshot.pairs.pairs())
+        << "rep " << rep;
+    EXPECT_EQ(prepared.run(queries, join_opt).pairs.pairs(),
+              join_oneshot.pairs.pairs())
+        << "rep " << rep;
+  }
+  EXPECT_EQ(prepared.self_join(self_opt).stats.adjacency_seconds, 0.0);
+}
+
 TEST(PreparedJoin, ConcurrentRunsFromManyThreadsAgree) {
   const auto data = datagen::uniform(800, 2, 0.0, 30.0, 27);
   const auto queries = datagen::uniform(300, 2, 0.0, 30.0, 28);
